@@ -66,7 +66,7 @@ fn recorded_trace(scenario: &dyn Scenario, kind: CheckKind, calls: usize) -> Opt
 /// the router produces when the appender runs ahead of the checker.
 fn consume_batched(
     shards: &[(ObjectId, Vec<Event>)],
-    factory: &dyn Fn(ObjectId) -> Box<dyn vyrd_core::pool::ObjectChecker>,
+    factory: &dyn Fn(ObjectId) -> Box<dyn vyrd_core::SteppingChecker>,
 ) {
     for (object, shard) in shards {
         let checker = factory(*object);
@@ -83,7 +83,7 @@ fn consume_batched(
 /// (channel synchronization and wakeup per event included).
 fn consume_per_event(
     shards: &[(ObjectId, Vec<Event>)],
-    factory: &dyn Fn(ObjectId) -> Box<dyn vyrd_core::pool::ObjectChecker>,
+    factory: &dyn Fn(ObjectId) -> Box<dyn vyrd_core::SteppingChecker>,
 ) {
     for (object, shard) in shards {
         let checker = factory(*object);

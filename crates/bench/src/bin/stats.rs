@@ -549,14 +549,15 @@ fn run_torn_cell(scenario: &dyn Scenario, seed: u64) -> Cell {
         return fail("segment spill failed");
     }
 
-    // Un-seal the last segment (drop its manifest line) and tear three
+    // Un-seal the last segment (drop its manifest line, and the
+    // `finished` line a crashed writer never got to write) and tear three
     // trailing bytes — every frame is at least nine bytes, so the cut is
     // guaranteed to land mid-frame.
     let manifest_path = dir.join("manifest.log");
     let Ok(manifest) = fs::read_to_string(&manifest_path) else {
         return fail("manifest unreadable");
     };
-    let mut lines: Vec<&str> = manifest.lines().collect();
+    let mut lines: Vec<&str> = manifest.lines().filter(|l| *l != "finished").collect();
     if lines.len() < 3 {
         return fail("trace too small to segment");
     }

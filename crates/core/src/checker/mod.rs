@@ -64,15 +64,18 @@ mod tests;
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Read;
+use std::sync::Arc;
 
 use vyrd_rt::channel::Receiver;
 
 use crate::codec;
-use crate::event::{ArgList, Event, MethodId, ThreadId, VarId};
+use crate::event::{ArgList, Event, MethodId, ObjectId, ThreadId, VarId};
 use crate::replay::{BlockBuffer, Replayer};
 use crate::spec::{MethodKind, Spec};
 use crate::value::Value;
 use crate::violation::{CheckStats, Report, Violation};
+
+use state::StateError;
 
 /// A replayer with no state, used by I/O-only checkers.
 #[derive(Clone, Copy, Debug, Default)]
@@ -226,14 +229,14 @@ const STRIDE_MIN: u64 = 4;
 /// retained snapshot to any window state.
 const STRIDE_MAX: u64 = 64;
 
-/// Per-drain cap for [`Checker::check_receiver`] on an *unbounded*
+/// Per-drain cap for [`SteppingChecker::check`] on an *unbounded*
 /// channel. Unbounded producers never block, so the only party timing
 /// the checker's stints is the overload watchdog (hundreds of ms): a
 /// 1024-event drain keeps the stint in the low milliseconds while
 /// amortizing the channel lock and wakeup three orders of magnitude.
 pub const CONSUME_BATCH_MAX: usize = 1024;
 
-/// Per-drain cap for [`Checker::check_receiver`] on a *bounded*
+/// Per-drain cap for [`SteppingChecker::check`] on a *bounded*
 /// channel. Bounded-channel producers park on a full queue, and
 /// Shed-policy producers park **with a deadline** the adaptive overload
 /// controller can tighten to tens of microseconds. The consumer's
@@ -245,6 +248,137 @@ pub const CONSUME_BATCH_MAX: usize = 1024;
 /// ~the 50 µs minimum timeout at live per-event checking cost while
 /// still amortizing the lock and wakeup 8-fold.
 pub const BOUNDED_CONSUME_BATCH_MAX: usize = 8;
+
+/// A [`Checker`] with its specification and replayer types erased — the
+/// one object-safe checker interface every driver shares
+/// ([`OnlineVerifier`](crate::online::OnlineVerifier),
+/// [`VerifierPool`](crate::pool::VerifierPool),
+/// [`ContinuousVerifier`](crate::segment::ContinuousVerifier)), so
+/// checkers over different specifications fit one factory type.
+///
+/// The required methods are the push-fed stepping core; checking a whole
+/// stream ([`SteppingChecker::check`]) or a whole recorded trace
+/// ([`SteppingChecker::check_events`]) is a loop derived from it. The
+/// derived loops are compiled per implementor, so a driver pays one
+/// virtual call per stream, never one per event.
+pub trait SteppingChecker: Send {
+    /// Feeds the next event of this object's subsequence.
+    fn feed(&mut self, event: Event);
+    /// Feeds one batch drained from a channel, in order, emptying
+    /// `batch`; counted in [`CheckStats::batches`] and
+    /// [`CheckStats::batch_events`].
+    fn feed_batch(&mut self, batch: &mut Vec<Event>);
+    /// `true` once the checker will process nothing further: it found a
+    /// violation and stops at the first one.
+    fn halted(&self) -> bool;
+    /// Serializes the full checker state (see [`Checker::save_state`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails when a component of the state is not checkpointable.
+    fn save_state(&self) -> Result<Value, StateError>;
+    /// Restores state saved by [`SteppingChecker::save_state`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed or incompatible state.
+    fn restore_state(&mut self, state: &Value) -> Result<(), StateError>;
+    /// Declares the fed history a crash-recovered prefix (see
+    /// [`Checker::mark_input_truncated`]).
+    fn mark_input_truncated(&mut self);
+    /// Ends the log and produces the report.
+    fn finish(self: Box<Self>) -> Report;
+
+    /// Checks a log streamed from a channel (the online mode of §4.2:
+    /// the verification thread runs this while the program executes).
+    /// Returns when the channel closes or the checker halts.
+    ///
+    /// Consumes the channel **batch-at-a-time**
+    /// ([`Receiver::recv_up_to`]): one lock round-trip and one wakeup
+    /// per batch instead of per event, the consume-side twin of the
+    /// append path's batched delivery. Events are still processed
+    /// strictly in arrival order, so the verdict (and every per-event
+    /// counter up to it) is identical to the per-event baseline —
+    /// `tests/consume_agreement.rs` pins that equivalence.
+    ///
+    /// The drain is capped by the channel's shape: an unlimited drain
+    /// lets the checker disappear into a multi-millisecond processing
+    /// stint while the refilled bounded channel stays full, and
+    /// Shed-policy producers time out against that stint and shed —
+    /// turning a saturated-but-healthy run into a gap cascade. Bounded
+    /// channels (the overloadable configurations) get the tight
+    /// [`BOUNDED_CONSUME_BATCH_MAX`]; unbounded channels, whose
+    /// producers never block, get the throughput-oriented
+    /// [`CONSUME_BATCH_MAX`].
+    fn check(mut self: Box<Self>, receiver: &Receiver<Event>) -> Report {
+        let cap = if receiver.capacity().is_some() {
+            BOUNDED_CONSUME_BATCH_MAX
+        } else {
+            CONSUME_BATCH_MAX
+        };
+        let mut batch: Vec<Event> = Vec::new();
+        while !self.halted() && receiver.recv_up_to(&mut batch, cap).is_ok() {
+            self.feed_batch(&mut batch);
+        }
+        self.finish()
+    }
+
+    /// Checks a complete recorded trace, stopping early once halted.
+    fn check_events(mut self: Box<Self>, events: Vec<Event>) -> Report {
+        for event in events {
+            if self.halted() {
+                break;
+            }
+            self.feed(event);
+        }
+        self.finish()
+    }
+}
+
+impl<S: Spec, R: Replayer> SteppingChecker for Checker<S, R> {
+    fn feed(&mut self, event: Event) {
+        Checker::feed(self, event);
+    }
+
+    fn feed_batch(&mut self, batch: &mut Vec<Event>) {
+        let n = batch.len() as u64;
+        self.stats.batches += 1;
+        self.stats.batch_events += n;
+        if vyrd_rt::metrics::enabled() {
+            crate::metrics::pipeline().checker_batch_occupancy.record(n);
+        }
+        for event in batch.drain(..) {
+            self.push(event);
+        }
+        self.pump(false);
+    }
+
+    fn halted(&self) -> bool {
+        Checker::halted(self)
+    }
+
+    fn save_state(&self) -> Result<Value, StateError> {
+        Checker::save_state(self)
+    }
+
+    fn restore_state(&mut self, state: &Value) -> Result<(), StateError> {
+        Checker::restore_state(self, state)
+    }
+
+    fn mark_input_truncated(&mut self) {
+        Checker::mark_input_truncated(self);
+    }
+
+    fn finish(self: Box<Self>) -> Report {
+        (*self).into_report()
+    }
+}
+
+/// Builds one checker per object — what a scenario hands to a
+/// [`VerifierPool`](crate::pool::VerifierPool) or a
+/// [`ContinuousVerifier`](crate::segment::ContinuousVerifier), which
+/// calls it on demand and again after recovery.
+pub type SteppingFactory = Arc<dyn Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync>;
 
 /// The signature of one applied mutator commit — enough to re-apply it
 /// to a specification snapshot during window replay. Recorded (instead
@@ -463,59 +597,15 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         self.run(move || iter.next())
     }
 
-    /// Checks a log streamed from a channel (the online mode of §4.2:
-    /// the verification thread runs this while the program executes).
-    /// Returns when the channel closes or — with the default options — at
-    /// the first violation.
-    ///
-    /// Consumes the channel **batch-at-a-time**
-    /// ([`Receiver::recv_up_to`]): one lock round-trip and one wakeup
-    /// per batch instead of per event, the consume-side twin of the
-    /// append path's batched delivery. Events are still processed
-    /// strictly in arrival order, so the verdict (and every per-event
-    /// counter up to it) is identical to the per-event baseline —
-    /// `tests/consume_agreement.rs` pins that equivalence.
-    ///
-    /// The drain is capped by the channel's shape: an unlimited drain
-    /// lets the checker disappear into a multi-millisecond processing
-    /// stint while the refilled bounded channel stays full, and
-    /// Shed-policy producers time out against that stint and shed —
-    /// turning a saturated-but-healthy run into a gap cascade. Bounded
-    /// channels (the overloadable configurations) get the tight
-    /// [`BOUNDED_CONSUME_BATCH_MAX`]; unbounded channels, whose
-    /// producers never block, get the throughput-oriented
-    /// [`CONSUME_BATCH_MAX`].
-    pub fn check_receiver(mut self, receiver: &Receiver<Event>) -> Report {
-        let cap = if receiver.capacity().is_some() {
-            BOUNDED_CONSUME_BATCH_MAX
-        } else {
-            CONSUME_BATCH_MAX
-        };
-        let mut batch: Vec<Event> = Vec::new();
-        while !(self.violation.is_some() && self.options.stop_at_first_violation) {
-            batch.clear();
-            let Ok(n) = receiver.recv_up_to(&mut batch, cap) else {
-                break;
-            };
-            self.stats.batches += 1;
-            self.stats.batch_events += n as u64;
-            if vyrd_rt::metrics::enabled() {
-                crate::metrics::pipeline()
-                    .checker_batch_occupancy
-                    .record(n as u64);
-            }
-            for event in batch.drain(..) {
-                self.push(event);
-            }
-            self.pump(false);
-        }
-        self.seal().0
+    /// Checks a log streamed from a channel: [`SteppingChecker::check`]
+    /// for a checker that was never boxed.
+    pub fn check_receiver(self, receiver: &Receiver<Event>) -> Report {
+        SteppingChecker::check(Box::new(self), receiver)
     }
 
     /// Checks a log in the binary wire format (e.g. written by
-    /// [`EventLog::to_file`](crate::log::EventLog::to_file)), in either
-    /// the current versioned format or the legacy headerless v1 format
-    /// (see [`codec::LogReader`]). A decoding error is reported as a
+    /// [`EventLog::to_file`](crate::log::EventLog::to_file); see
+    /// [`codec::LogReader`]). A decoding error is reported as a
     /// [`Violation::MalformedLog`].
     pub fn check_reader<Rd: Read>(self, reader: Rd) -> Report {
         let mut decode_failed = false;
@@ -558,7 +648,7 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     // ------------------------------------------------------------------
 
     fn run(mut self, mut source: impl FnMut() -> Option<Event>) -> (Report, Vec<WitnessStep>) {
-        while !(self.violation.is_some() && self.options.stop_at_first_violation) {
+        while !self.halted() {
             let Some(event) = source() else { break };
             self.push(event);
             self.pump(false);
@@ -575,10 +665,11 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         self.pump(false);
     }
 
-    /// True once a violation has been recorded (useful to stop feeding
-    /// early under [`CheckerOptions::stop_at_first_violation`]).
-    pub fn violation_found(&self) -> bool {
-        self.violation.is_some()
+    /// True once the checker processes nothing further: a violation was
+    /// recorded under [`CheckerOptions::stop_at_first_violation`]. Events
+    /// fed afterwards are buffered, never stepped, so feeding can stop.
+    pub fn halted(&self) -> bool {
+        self.violation.is_some() && self.options.stop_at_first_violation
     }
 
     /// Finishes a push-fed check: the end of the log is now known, so
@@ -651,7 +742,7 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     /// violation stops the run.
     fn pump(&mut self, eof: bool) {
         loop {
-            if self.violation.is_some() && self.options.stop_at_first_violation {
+            if self.halted() {
                 return;
             }
             // The next event in log order is the lookahead front (events
@@ -678,7 +769,7 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             self.stats.events += 1;
             self.step(event);
             self.maybe_check_quiescent();
-            if self.violation.is_some() && self.options.stop_at_first_violation {
+            if self.halted() {
                 return;
             }
             self.position += 1;

@@ -24,7 +24,7 @@ use crate::spec::{MethodKind, Spec};
 use crate::value::Value;
 use crate::violation::{CheckStats, Violation};
 
-use super::{Checker, CommitSig, PendingExec, STRIDE_MIN};
+use super::{Checker, CommitSig, PendingExec};
 
 /// Version tag of the checkpoint state encoding; bump on layout changes.
 const STATE_VERSION: i64 = 1;
@@ -128,12 +128,7 @@ fn value_event(v: &Value) -> Result<Event, StateError> {
     let bytes = v
         .as_bytes()
         .ok_or_else(|| err("expected an encoded event (bytes)"))?;
-    let mut cursor = bytes;
-    match codec::read_event(&mut cursor) {
-        Ok(Some(e)) if cursor.is_empty() => Ok(e),
-        Ok(_) => Err(err("truncated or padded event encoding")),
-        Err(e) => Err(err(format!("decoding event: {e}"))),
-    }
+    codec::decode_event(bytes).map_err(|e| err(format!("decoding event: {e}")))
 }
 
 // ---------------------------------------------------------------------
@@ -343,17 +338,12 @@ fn stats_value(s: &CheckStats) -> Result<Value, StateError> {
 
 fn value_stats(v: &Value) -> Result<CheckStats, StateError> {
     let items = value_list(v)?;
-    // 9 counters is the pre-lin layout, 12 the pre-batching one; the
-    // counters a layout lacks are zero.
-    if items.len() != 9 && items.len() != 12 && items.len() != 15 {
+    if items.len() != 15 {
         return Err(err(format!(
-            "expected 9, 12, or 15 stats counters, got {}",
+            "expected 15 stats counters, got {}",
             items.len()
         )));
     }
-    let opt = |i: usize| -> Result<u64, StateError> {
-        items.get(i).map(value_u64).transpose().map(Option::unwrap_or_default)
-    };
     Ok(CheckStats {
         events: value_u64(&items[0])?,
         commits_applied: value_u64(&items[1])?,
@@ -364,12 +354,12 @@ fn value_stats(v: &Value) -> Result<CheckStats, StateError> {
         view_keys_compared: value_u64(&items[6])?,
         writes_replayed: value_u64(&items[7])?,
         events_discarded_after_close: value_u64(&items[8])?,
-        lin_windows_searched: opt(9)?,
-        lin_witness_backtracks: opt(10)?,
-        lin_fastpath_hits: opt(11)?,
-        batches: opt(12)?,
-        batch_events: opt(13)?,
-        snapshot_replays: opt(14)?,
+        lin_windows_searched: value_u64(&items[9])?,
+        lin_witness_backtracks: value_u64(&items[10])?,
+        lin_fastpath_hits: value_u64(&items[11])?,
+        batches: value_u64(&items[12])?,
+        batch_events: value_u64(&items[13])?,
+        snapshot_replays: value_u64(&items[14])?,
     })
 }
 
@@ -578,12 +568,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     /// the spec/replayer rejects its serialized state.
     pub fn restore_state(&mut self, state: &Value) -> Result<(), StateError> {
         let items = value_list(state)?;
-        // 13 fields is the pre-lin layout (no retained digests), 14 the
-        // pre-elision one (no commit signatures — every window state has
-        // a full snapshot, so an empty commit log restores correctly).
-        if !(13..=15).contains(&items.len()) {
+        if items.len() != 15 {
             return Err(err(format!(
-                "malformed checkpoint state: expected 13 to 15 fields, got {}",
+                "malformed checkpoint state: expected 15 fields, got {}",
                 items.len()
             )));
         }
@@ -639,40 +626,32 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         self.position = value_u64(&items[11])?;
         self.commits_since_quiescent_check = value_u64(&items[12])?;
         let mut digests = BTreeMap::new();
-        if let Some(digests_v) = items.get(13) {
-            for entry in value_list(digests_v)? {
-                let pair = value_list(entry)?;
-                let [index, digest] = pair else {
-                    return Err(err("malformed digest entry"));
-                };
-                digests.insert(value_u64(index)?, digest.clone());
-            }
+        for entry in value_list(&items[13])? {
+            let pair = value_list(entry)?;
+            let [index, digest] = pair else {
+                return Err(err("malformed digest entry"));
+            };
+            digests.insert(value_u64(index)?, digest.clone());
         }
         self.digests = digests;
-        // Field 15: elided-snapshot replay state. Absent in 13/14-field
-        // checkpoints, which retained a full snapshot per window state and
-        // therefore never need signature replay.
+        // Elided-snapshot replay state.
+        let parts = value_list(&items[14])?;
+        let [stride_v, base_v, sigs_v] = parts else {
+            return Err(err("malformed commit-signature state"));
+        };
+        self.stride = value_u64(stride_v)?.max(1);
+        self.commit_log_base = value_u64(base_v)?;
         self.commit_log.clear();
-        self.commit_log_base = 0;
-        self.stride = STRIDE_MIN;
-        if let Some(elision_v) = items.get(14) {
-            let parts = value_list(elision_v)?;
-            let [stride_v, base_v, sigs_v] = parts else {
-                return Err(err("malformed commit-signature state"));
+        for sig in value_list(sigs_v)? {
+            let fields = value_list(sig)?;
+            let [method, args, ret] = fields else {
+                return Err(err("malformed commit signature"));
             };
-            self.stride = value_u64(stride_v)?.max(1);
-            self.commit_log_base = value_u64(base_v)?;
-            for sig in value_list(sigs_v)? {
-                let fields = value_list(sig)?;
-                let [method, args, ret] = fields else {
-                    return Err(err("malformed commit signature"));
-                };
-                self.commit_log.push_back(CommitSig {
-                    method: MethodId::from(value_str(method)?),
-                    args: ArgList::from_slice(value_list(args)?),
-                    ret: ret.clone(),
-                });
-            }
+            self.commit_log.push_back(CommitSig {
+                method: MethodId::from(value_str(method)?),
+                args: ArgList::from_slice(value_list(args)?),
+                ret: ret.clone(),
+            });
         }
         // Derived state, recomputed rather than trusted from the file.
         self.observers_inflight = self

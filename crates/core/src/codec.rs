@@ -10,33 +10,26 @@
 //!   length prefix;
 //! * every [`Value`] and [`Event`] starts with a one-byte tag.
 //!
-//! # Versioning
+//! # Framing
 //!
-//! A log stream starts with a header — the magic bytes `b"VYRD"` followed
-//! by a `u32` format version. Version 2 added a `u32`
-//! [`ObjectId`](crate::ObjectId) to every event record, right after the
-//! thread id. Version 3 wraps each record in a crash-tolerant frame: a
-//! `u32` payload length, a `u32` CRC-32 (IEEE) of the payload, then the
-//! payload itself — a bare v2 record. Version 4 (the current version)
-//! appends one byte to the header recording the [`LogMode`] the stream was
+//! A log stream starts with a header — the magic bytes `b"VYRD"`, a `u32`
+//! format version ([`FORMAT_VERSION`], the only one [`LogReader`]
+//! accepts), and one byte recording the [`LogMode`] the stream was
 //! captured under, so an offline checker knows whether it holds an I/O or
-//! a view-refinement trace without scanning for `Write` records; frames
-//! are unchanged from v3. The mode byte is validated strictly: a byte that
-//! is not a defined [`LogMode`] discriminant is `InvalidData`, never
-//! silently coerced. Version-1 streams predate the header entirely: they
-//! start directly with an event tag. [`LogReader`] tells headered and
-//! headerless streams apart by sniffing the first byte (the magic's `b'V'`
-//! can never be a record tag) and decodes v1 records with
-//! [`ObjectId::DEFAULT`](crate::ObjectId::DEFAULT), so old logs keep
-//! reading.
+//! a view-refinement trace without scanning for `Write` records. The mode
+//! byte is validated strictly: a byte that is not a defined [`LogMode`]
+//! discriminant is `InvalidData`, never silently coerced. Each record
+//! then travels in a crash-tolerant frame: a `u32` payload length, a `u32`
+//! CRC-32 (IEEE) of the payload, then the payload itself — a bare event
+//! record as written by [`write_event`].
 //!
 //! # Crash tolerance
 //!
 //! The paper's post-mortem workflow (§2) reads the log *after* the
 //! implementation crashed, so a torn tail is the expected case, not an
-//! anomaly. The v3 frame makes recovery explicit: a frame whose length
+//! anomaly. The frame makes recovery explicit: a frame whose length
 //! prefix, checksum, or payload is damaged marks the end of the trusted
-//! prefix. [`read_log_recovering`] decodes any stream (v1–v3) and returns
+//! prefix. [`read_log_recovering`] returns
 //! [`DecodeOutcome::RecoveredPrefix`] — every record before the damage,
 //! plus the byte offset where decoding stopped — instead of an error.
 
@@ -67,23 +60,15 @@ const TAG_BLOCK_BEGIN: u8 = 19;
 const TAG_BLOCK_END: u8 = 20;
 const TAG_WRITE: u8 = 21;
 
-/// Magic bytes opening a versioned log stream. `b'V'` (0x56) is far from
-/// the record tag space (0..=21), so a headerless v1 stream can never be
-/// mistaken for a versioned one.
+/// Magic bytes opening a log stream.
 pub const MAGIC: [u8; 4] = *b"VYRD";
 
-/// The log format version this module writes.
+/// The log format version this module writes — and the only one it reads.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Encoded size of the stream header written by [`write_header`]:
 /// magic bytes, format version, and the mode byte.
 pub const HEADER_LEN: u64 = (MAGIC.len() + 4 + 1) as u64;
-
-/// The last format version whose records were written bare (unframed).
-const LAST_UNFRAMED_VERSION: u32 = 2;
-
-/// The last format version whose header carried no [`LogMode`] byte.
-const LAST_MODELESS_VERSION: u32 = 3;
 
 const CRC_TABLE: [u32; 256] = crc32_table();
 
@@ -107,7 +92,7 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32 (IEEE 802.3) checksum, as used by v3 record frames.
+/// CRC-32 (IEEE 802.3) checksum, as used by record frames.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
@@ -118,13 +103,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Maximum length accepted for any single string/bytes/list payload.
 ///
-/// Guards `read_event` against allocating absurd buffers when handed a
+/// Guards the decoders against allocating absurd buffers when handed a
 /// corrupt or non-log file.
 const MAX_LEN: u32 = 1 << 28;
 
 /// Maximum nesting depth accepted when decoding values.
 ///
-/// Guards `read_value` against stack overflow on corrupt or hostile input
+/// Guards [`decode_value`] against stack overflow on corrupt or hostile input
 /// (e.g. a file of consecutive pair tags).
 const MAX_DEPTH: u32 = 64;
 
@@ -142,34 +127,9 @@ fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     Ok(u32::from_le_bytes(buf))
 }
 
-fn read_i64<R: Read>(r: &mut R) -> io::Result<i64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(i64::from_le_bytes(buf))
-}
-
-fn read_len<R: Read>(r: &mut R) -> io::Result<usize> {
-    let len = read_u32(r)?;
-    if len > MAX_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd log record length {len} exceeds limit"),
-        ));
-    }
-    Ok(len as usize)
-}
-
 fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
     write_u32(w, s.len() as u32)?;
     w.write_all(s.as_bytes())
-}
-
-fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_len(r)?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid utf-8: {e}")))
 }
 
 /// Serializes one value.
@@ -211,64 +171,8 @@ pub fn write_value<W: Write>(w: &mut W, value: &Value) -> io::Result<()> {
     }
 }
 
-/// Deserializes one value.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on unknown tags, malformed payloads, or nesting
-/// deeper than the format allows, and propagates I/O errors (including
-/// `UnexpectedEof` for truncated records).
-pub fn read_value<R: Read>(r: &mut R) -> io::Result<Value> {
-    read_value_at(r, 0)
-}
-
-fn read_value_at<R: Read>(r: &mut R, depth: u32) -> io::Result<Value> {
-    if depth > MAX_DEPTH {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd value nested deeper than {MAX_DEPTH} levels"),
-        ));
-    }
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        TAG_UNIT => Ok(Value::Unit),
-        TAG_BOOL_FALSE => Ok(Value::Bool(false)),
-        TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(read_i64(r)?)),
-        TAG_STR => Ok(Value::Str(read_string(r)?)),
-        TAG_BYTES => {
-            let len = read_len(r)?;
-            let mut buf = vec![0u8; len];
-            r.read_exact(&mut buf)?;
-            Ok(Value::Bytes(buf))
-        }
-        TAG_PAIR => {
-            let a = read_value_at(r, depth + 1)?;
-            let b = read_value_at(r, depth + 1)?;
-            Ok(Value::pair(a, b))
-        }
-        TAG_LIST => {
-            let len = read_len(r)?;
-            let mut items = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                items.push(read_value_at(r, depth + 1)?);
-            }
-            Ok(Value::List(items))
-        }
-        t => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd value tag {t}"),
-        )),
-    }
-}
-
-/// Serializes one event as a bare (unframed) v2 record — also the payload
-/// encoding inside a v3 frame (see [`write_frame`]).
-///
-/// Records are headerless; a reader needs the stream header to know their
-/// version, so prepend one with [`write_header`] (as [`write_log`] and the
-/// file sink do) when starting a fresh stream.
+/// Serializes one event as a bare (unframed) record — the payload
+/// encoding inside a frame (see [`write_frame`]).
 ///
 /// # Errors
 ///
@@ -334,8 +238,8 @@ pub fn write_event<W: Write>(w: &mut W, event: &Event) -> io::Result<()> {
     }
 }
 
-/// Serializes one event as a v3 frame: payload length, CRC-32 of the
-/// payload, then the payload (a bare v2 record as written by
+/// Serializes one event as a frame: payload length, CRC-32 of the
+/// payload, then the payload (a bare record as written by
 /// [`write_event`]).
 ///
 /// Honors the `codec.write` failpoint: a
@@ -376,7 +280,7 @@ pub fn write_frame_with<W: Write>(
 }
 
 /// Writes the stream header: magic bytes, the current format version, and
-/// the [`LogMode`] the stream is being captured under (one byte, v4+).
+/// the [`LogMode`] the stream is being captured under (one byte).
 ///
 /// # Errors
 ///
@@ -387,90 +291,12 @@ pub fn write_header<W: Write>(w: &mut W, mode: LogMode) -> io::Result<()> {
     w.write_all(&[mode.as_u8()])
 }
 
-/// Decodes the record body after the tag byte. Every version puts the
-/// thread id first; v2 adds the object id right after it.
-fn read_event_body<R: Read>(r: &mut R, tag: u8, version: u32) -> io::Result<Event> {
-    if !(TAG_CALL..=TAG_WRITE).contains(&tag) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown vyrd event tag {tag}"),
-        ));
-    }
-    let tid = ThreadId(read_u32(r)?);
-    let object = if version >= 2 {
-        ObjectId(read_u32(r)?)
-    } else {
-        ObjectId::DEFAULT
-    };
-    let event = match tag {
-        TAG_CALL => {
-            let method = MethodId::from(read_string(r)?);
-            let argc = read_len(r)?;
-            let mut args = Vec::with_capacity(argc.min(64));
-            for _ in 0..argc {
-                args.push(read_value(r)?);
-            }
-            Event::Call {
-                tid,
-                object,
-                method,
-                args: args.into(),
-            }
-        }
-        TAG_RETURN => Event::Return {
-            tid,
-            object,
-            method: MethodId::from(read_string(r)?),
-            ret: read_value(r)?,
-        },
-        TAG_COMMIT => Event::Commit { tid, object },
-        TAG_BLOCK_BEGIN => Event::BlockBegin { tid, object },
-        TAG_BLOCK_END => Event::BlockEnd { tid, object },
-        TAG_WRITE => {
-            let space = read_string(r)?;
-            let index = read_i64(r)?;
-            let value = read_value(r)?;
-            Event::Write {
-                tid,
-                object,
-                var: VarId::new(&space, index),
-                value,
-            }
-        }
-        t => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown vyrd event tag {t}"),
-            ))
-        }
-    };
-    Ok(event)
-}
-
-/// Deserializes one bare (unframed) v2 event record, or `Ok(None)` at a
-/// clean end of stream. To read a stream whose version is not known in
-/// advance, use [`LogReader`].
-///
-/// # Errors
-///
-/// Returns `InvalidData` for unknown tags and `UnexpectedEof` when the
-/// stream ends mid-record.
-pub fn read_event<R: Read>(r: &mut R) -> io::Result<Option<Event>> {
-    let mut tag = [0u8; 1];
-    match r.read(&mut tag)? {
-        0 => return Ok(None),
-        1 => {}
-        _ => unreachable!("read of 1-byte buffer returned >1"),
-    }
-    read_event_body(r, tag[0], LAST_UNFRAMED_VERSION).map(Some)
-}
-
 /// Cursor over an in-memory frame payload.
 ///
-/// Unlike the [`Read`]-based decoders, strings are *borrowed* straight
-/// from the payload: a method name goes to the interner as a `&str`
-/// without a temporary `String`, which is what keeps the framed decode
-/// loop allocation-flat for scalar-argument events.
+/// Strings are *borrowed* straight from the payload: a method name goes
+/// to the interner as a `&str` without a temporary `String`, which is
+/// what keeps the framed decode loop allocation-flat for scalar-argument
+/// events.
 struct PayloadCursor<'a> {
     buf: &'a [u8],
     at: usize,
@@ -526,12 +352,35 @@ impl<'a> PayloadCursor<'a> {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("invalid utf-8: {e}")))
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
+    /// The payload must be fully consumed: a record followed by more
+    /// bytes is damage, not a record.
+    fn expect_end(&self) -> io::Result<()> {
+        match self.buf.len() - self.at {
+            0 => Ok(()),
+            n => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("vyrd frame has {n} trailing bytes"),
+            )),
+        }
     }
 }
 
-fn decode_value(cur: &mut PayloadCursor<'_>, depth: u32) -> io::Result<Value> {
+/// Deserializes one value from `bytes`, which must hold exactly that
+/// value (as written by [`write_value`]).
+///
+/// # Errors
+///
+/// Returns `InvalidData` on unknown tags, malformed payloads, trailing
+/// bytes, or nesting deeper than the format allows, and `UnexpectedEof`
+/// for a truncated value.
+pub fn decode_value(bytes: &[u8]) -> io::Result<Value> {
+    let mut cur = PayloadCursor { buf: bytes, at: 0 };
+    let value = decode_value_at(&mut cur, 0)?;
+    cur.expect_end()?;
+    Ok(value)
+}
+
+fn decode_value_at(cur: &mut PayloadCursor<'_>, depth: u32) -> io::Result<Value> {
     if depth > MAX_DEPTH {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -549,15 +398,15 @@ fn decode_value(cur: &mut PayloadCursor<'_>, depth: u32) -> io::Result<Value> {
             Ok(Value::Bytes(cur.take(len)?.to_vec()))
         }
         TAG_PAIR => {
-            let a = decode_value(cur, depth + 1)?;
-            let b = decode_value(cur, depth + 1)?;
+            let a = decode_value_at(cur, depth + 1)?;
+            let b = decode_value_at(cur, depth + 1)?;
             Ok(Value::pair(a, b))
         }
         TAG_LIST => {
             let len = cur.len()?;
             let mut items = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                items.push(decode_value(cur, depth + 1)?);
+                items.push(decode_value_at(cur, depth + 1)?);
             }
             Ok(Value::List(items))
         }
@@ -568,7 +417,7 @@ fn decode_value(cur: &mut PayloadCursor<'_>, depth: u32) -> io::Result<Value> {
     }
 }
 
-/// Decodes one frame payload (a bare v2 record) entirely in memory.
+/// Decodes one frame payload (a bare record) entirely in memory.
 ///
 /// `args_scratch` is a reusable staging buffer for call arguments: values
 /// decode into it and are cloned into the event's inline-capable
@@ -594,7 +443,7 @@ fn decode_frame_payload(payload: &[u8], args_scratch: &mut Vec<Value>) -> io::Re
             let argc = cur.len()?;
             args_scratch.clear();
             for _ in 0..argc {
-                args_scratch.push(decode_value(&mut cur, 0)?);
+                args_scratch.push(decode_value_at(&mut cur, 0)?);
             }
             Event::Call {
                 tid,
@@ -607,7 +456,7 @@ fn decode_frame_payload(payload: &[u8], args_scratch: &mut Vec<Value>) -> io::Re
             tid,
             object,
             method: MethodId::from(cur.str_()?),
-            ret: decode_value(&mut cur, 0)?,
+            ret: decode_value_at(&mut cur, 0)?,
         },
         TAG_COMMIT => Event::Commit { tid, object },
         TAG_BLOCK_BEGIN => Event::BlockBegin { tid, object },
@@ -619,7 +468,7 @@ fn decode_frame_payload(payload: &[u8], args_scratch: &mut Vec<Value>) -> io::Re
                 tid,
                 object,
                 var: VarId::new(space, index),
-                value: decode_value(&mut cur, 0)?,
+                value: decode_value_at(&mut cur, 0)?,
             }
         }
         t => {
@@ -629,13 +478,20 @@ fn decode_frame_payload(payload: &[u8], args_scratch: &mut Vec<Value>) -> io::Re
             ))
         }
     };
-    if cur.remaining() != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("vyrd frame has {} trailing bytes", cur.remaining()),
-        ));
-    }
+    cur.expect_end()?;
     Ok(event)
+}
+
+/// Deserializes one bare event record from `bytes`, which must hold
+/// exactly that record (as written by [`write_event`]). To read a framed
+/// log stream, use [`LogReader`].
+///
+/// # Errors
+///
+/// Returns `InvalidData` for unknown tags, malformed payloads, or trailing
+/// bytes, and `UnexpectedEof` for a truncated record.
+pub fn decode_event(bytes: &[u8]) -> io::Result<Event> {
+    decode_frame_payload(bytes, &mut Vec::new())
 }
 
 /// A [`Read`] adapter that tracks how many bytes have been consumed, so
@@ -729,29 +585,24 @@ impl<R: Read> Read for FrameBuf<R> {
     }
 }
 
-/// Version-aware streaming decoder.
+/// Streaming decoder for a framed log stream.
 ///
-/// Sniffs the stream's first byte: the magic's `b'V'` means a versioned
-/// header follows; an event tag (or clean EOF) means a legacy headerless v1
-/// stream, whose records decode with
-/// [`ObjectId::DEFAULT`](crate::ObjectId::DEFAULT).
+/// The header is outside input and is validated before any record is
+/// decoded: a first byte that is not the magic, a corrupt magic, any
+/// version other than [`FORMAT_VERSION`], or an undefined mode byte is
+/// `InvalidData`.
 pub struct LogReader<R: Read> {
     reader: FrameBuf<R>,
-    version: u32,
-    /// Capture mode from the header; `None` for v1–v3 streams, which
-    /// predate the mode byte.
+    /// Capture mode from the header; `None` only for an empty stream,
+    /// which has no header to read it from.
     mode: Option<LogMode>,
-    /// First byte of a v1 stream, consumed while sniffing for the magic.
-    pending_tag: Option<u8>,
     /// Reusable frame payload; its capacity survives across records so
     /// steady-state decoding re-reads into the same storage.
     payload: Vec<u8>,
     /// Reusable staging buffer for call arguments.
     args_scratch: Vec<Value>,
-    /// Events decoded so far (all versions).
+    /// Events (= CRC frames) decoded so far.
     events: u64,
-    /// CRC frames decoded so far (v3+ streams only).
-    frames: u64,
     /// Payload bytes decoded so far (frame headers excluded).
     payload_bytes: u64,
 }
@@ -759,97 +610,69 @@ pub struct LogReader<R: Read> {
 impl<R: Read> fmt::Debug for LogReader<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LogReader")
-            .field("version", &self.version)
             .field("mode", &self.mode)
-            .field("pending_tag", &self.pending_tag)
             .finish_non_exhaustive()
     }
 }
 
 impl<R: Read> LogReader<R> {
-    /// Opens a log stream, consuming its header if present.
+    /// Opens a log stream, consuming its header. An empty stream is an
+    /// empty log.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` for a corrupt magic or an unsupported version,
-    /// and propagates I/O errors.
+    /// Returns `InvalidData` for a missing or corrupt magic, an
+    /// unsupported version, or an undefined mode byte, and propagates I/O
+    /// errors.
     pub fn new(reader: R) -> io::Result<LogReader<R>> {
         let mut reader = FrameBuf::new(reader);
-        let mut first = [0u8; 1];
-        match reader.read(&mut first)? {
-            0 => {
-                // Empty stream: version is moot, `next_event` yields None.
-                return Ok(LogReader::assemble(reader, FORMAT_VERSION, None, None));
-            }
-            1 => {}
-            _ => unreachable!("read of 1-byte buffer returned >1"),
-        }
-        if first[0] == MAGIC[0] {
-            let mut rest = [0u8; 3];
-            reader.read_exact(&mut rest)?;
-            if rest != MAGIC[1..] {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "corrupt vyrd log magic",
-                ));
-            }
-            let version = read_u32(&mut reader)?;
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported vyrd log version {version}"),
-                ));
-            }
-            let mode = if version > LAST_MODELESS_VERSION {
+        let mut magic = [0u8; MAGIC.len()];
+        let mode = match reader.read(&mut magic[..1])? {
+            0 => None,
+            _ => {
+                // Judge the first byte before asking for more, so a short
+                // foreign file is "not a log", not a torn header.
+                if magic[0] == MAGIC[0] {
+                    reader.read_exact(&mut magic[1..])?;
+                }
+                if magic != MAGIC {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "corrupt vyrd log magic",
+                    ));
+                }
+                let version = read_u32(&mut reader)?;
+                if version != FORMAT_VERSION {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unsupported vyrd log version {version}"),
+                    ));
+                }
                 let mut byte = [0u8; 1];
                 reader.read_exact(&mut byte)?;
                 // Strict: an undefined discriminant is damage, not a
                 // default. (A lenient fallback here would misreport a
                 // corrupted View stream as something it is not.)
-                let mode = LogMode::from_u8(byte[0]).ok_or_else(|| {
+                Some(LogMode::from_u8(byte[0]).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("invalid vyrd log mode byte {:#04x}", byte[0]),
                     )
-                })?;
-                Some(mode)
-            } else {
-                None
-            };
-            Ok(LogReader::assemble(reader, version, mode, None))
-        } else {
-            // No magic: a legacy v1 stream; the byte we read is its first
-            // record tag.
-            Ok(LogReader::assemble(reader, 1, None, Some(first[0])))
-        }
-    }
-
-    fn assemble(
-        reader: FrameBuf<R>,
-        version: u32,
-        mode: Option<LogMode>,
-        pending_tag: Option<u8>,
-    ) -> LogReader<R> {
-        LogReader {
+                })?)
+            }
+        };
+        Ok(LogReader {
             reader,
-            version,
             mode,
-            pending_tag,
             payload: Vec::new(),
             args_scratch: Vec::new(),
             events: 0,
-            frames: 0,
             payload_bytes: 0,
-        }
-    }
-
-    /// The format version of the stream being read.
-    pub fn version(&self) -> u32 {
-        self.version
+        })
     }
 
     /// The [`LogMode`] the stream was captured under, recorded in the
-    /// header since format version 4. `None` for older streams.
+    /// header. `None` only for an empty stream.
     pub fn mode(&self) -> Option<LogMode> {
         self.mode
     }
@@ -857,12 +680,11 @@ impl<R: Read> LogReader<R> {
     /// The byte offset at which the *next* record starts — i.e. how much of
     /// the stream has been decoded into trusted records so far.
     pub fn next_record_offset(&self) -> u64 {
-        // A sniffed-but-unconsumed v1 tag byte still belongs to the next
-        // record.
-        self.reader.pos - u64::from(self.pending_tag.is_some())
+        self.reader.pos
     }
 
-    /// Decodes the next event, or `Ok(None)` at a clean end of stream.
+    /// Decodes the next frame — `[len: u32][crc32: u32][payload]` — or
+    /// `Ok(None)` at a clean end of stream.
     ///
     /// Honors the `codec.read` failpoint: a
     /// [`Drop`](vyrd_rt::fault::FaultAction::Drop) disposition reports a
@@ -877,27 +699,6 @@ impl<R: Read> LogReader<R> {
         if let vyrd_rt::fault::Disposition::Drop = vyrd_rt::fault::inject("codec.read") {
             return Ok(None);
         }
-        if self.version > LAST_UNFRAMED_VERSION {
-            return self.next_framed_event();
-        }
-        let tag = match self.pending_tag.take() {
-            Some(t) => t,
-            None => {
-                let mut tag = [0u8; 1];
-                match self.reader.read(&mut tag)? {
-                    0 => return Ok(None),
-                    1 => tag[0],
-                    _ => unreachable!("read of 1-byte buffer returned >1"),
-                }
-            }
-        };
-        let event = read_event_body(&mut self.reader, tag, self.version)?;
-        self.events += 1;
-        Ok(Some(event))
-    }
-
-    /// Decodes one v3 frame: `[len: u32][crc32: u32][payload]`.
-    fn next_framed_event(&mut self) -> io::Result<Option<Event>> {
         // A clean end of stream is 0 bytes exactly at a frame boundary;
         // 1–3 bytes of length prefix are already a torn tail.
         let mut len_buf = [0u8; 4];
@@ -936,7 +737,6 @@ impl<R: Read> LogReader<R> {
             ));
         }
         let event = decode_frame_payload(&self.payload, &mut self.args_scratch)?;
-        self.frames += 1;
         self.payload_bytes += u64::from(len);
         self.events += 1;
         Ok(Some(event))
@@ -951,7 +751,7 @@ impl<R: Read> Drop for LogReader<R> {
         if (self.events > 0 || self.reader.refills > 0) && vyrd_rt::metrics::enabled() {
             let pm = crate::metrics::pipeline();
             pm.decode_events.add(self.events);
-            pm.decode_frames.add(self.frames);
+            pm.decode_frames.add(self.events);
             pm.decode_bytes.add(self.payload_bytes);
             pm.decode_refills.add(self.reader.refills);
         }
@@ -997,8 +797,7 @@ pub fn write_log<W: Write>(w: &mut W, events: &[Event]) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserializes a whole log until end of stream, accepting any supported
-/// version (headered v2/v3 and legacy headerless v1 streams).
+/// Deserializes a whole log until end of stream.
 ///
 /// # Errors
 ///
@@ -1153,13 +952,13 @@ mod tests {
     fn roundtrip_value(v: &Value) -> Value {
         let mut buf = Vec::new();
         write_value(&mut buf, v).unwrap();
-        read_value(&mut buf.as_slice()).unwrap()
+        decode_value(&buf).unwrap()
     }
 
     fn roundtrip_event(e: &Event) -> Event {
         let mut buf = Vec::new();
         write_event(&mut buf, e).unwrap();
-        read_event(&mut buf.as_slice()).unwrap().unwrap()
+        decode_event(&buf).unwrap()
     }
 
     #[test]
@@ -1254,39 +1053,44 @@ mod tests {
     }
 
     #[test]
-    fn headerless_v1_stream_decodes_with_default_object() {
-        // Hand-encode a v1 `Commit` record: tag, then tid only — no object.
-        let mut buf = vec![TAG_COMMIT];
-        buf.extend_from_slice(&9u32.to_le_bytes());
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 1);
-        assert_eq!(
-            reader.next_event().unwrap(),
-            Some(Event::Commit {
-                tid: ThreadId(9),
-                object: ObjectId::DEFAULT,
-            })
-        );
-        assert_eq!(reader.next_event().unwrap(), None);
-    }
-
-    #[test]
-    fn clean_eof_yields_none() {
+    fn an_empty_stream_is_an_empty_log() {
         let empty: &[u8] = &[];
-        assert!(read_event(&mut { empty }).unwrap().is_none());
         assert!(read_log(&mut { empty }).unwrap().is_empty());
     }
 
     #[test]
-    fn corrupt_magic_and_bad_version_are_rejected() {
-        let err = read_log(&mut b"VYRQ\x02\x00\x00\x00".as_slice()).unwrap_err();
+    fn corrupt_magic_and_every_other_version_are_rejected() {
+        let err = read_log(&mut b"VYRQ\x04\x00\x00\x00".as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let mut future = Vec::new();
-        future.extend_from_slice(&MAGIC);
-        future.extend_from_slice(&99u32.to_le_bytes());
-        let err = read_log(&mut future.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version 99"));
+        // Retired (1–3) and future versions alike: only v4 is read.
+        for version in [0u32, 1, 2, 3, 5, 99] {
+            let mut stream = Vec::new();
+            stream.extend_from_slice(&MAGIC);
+            stream.extend_from_slice(&version.to_le_bytes());
+            stream.push(LogMode::Io.as_u8());
+            let err = LogReader::new(stream.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_first_byte_that_is_not_the_magic_is_invalid_data() {
+        // What used to sniff as a headerless v1 stream: a bare record.
+        let mut bare = Vec::new();
+        write_event(
+            &mut bare,
+            &Event::Commit {
+                tid: ThreadId(9),
+                object: ObjectId::DEFAULT,
+            },
+        )
+        .unwrap();
+        for stream in [bare.as_slice(), &b"\xFF"[..], &b"vyrd"[..]] {
+            let err = LogReader::new(stream).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{stream:?}");
+            assert!(err.to_string().contains("magic"), "{err}");
+        }
     }
 
     #[test]
@@ -1303,7 +1107,7 @@ mod tests {
         )
         .unwrap();
         buf.truncate(buf.len() - 2);
-        let err = read_event(&mut buf.as_slice()).unwrap_err();
+        let err = decode_event(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -1341,7 +1145,6 @@ mod tests {
         let mut buf = Vec::new();
         write_log(&mut buf, &log).unwrap();
         let reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 4);
         // sample_log is pure call/commit/return, so the inferred mode is Io.
         assert_eq!(reader.mode(), Some(LogMode::Io));
         assert_eq!(read_log(&mut buf.as_slice()).unwrap(), log);
@@ -1376,27 +1179,6 @@ mod tests {
         let reader = LogReader::new(buf.as_slice()).unwrap();
         assert_eq!(reader.mode(), Some(LogMode::View));
         assert_eq!(read_log(&mut buf.as_slice()).unwrap(), log);
-    }
-
-    #[test]
-    fn v3_streams_still_decode_without_a_mode() {
-        // A v3 stream is the modeless header followed by frames.
-        let log = sample_log();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        let mut scratch = Vec::new();
-        for e in &log {
-            write_frame_with(&mut buf, &mut scratch, e).unwrap();
-        }
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 3);
-        assert_eq!(reader.mode(), None);
-        let mut events = Vec::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            events.push(e);
-        }
-        assert_eq!(events, log);
     }
 
     #[test]
@@ -1439,26 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_streams_still_decode() {
-        // A v2 stream is the old header followed by bare records.
-        let log = sample_log();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        for e in &log {
-            write_event(&mut buf, e).unwrap();
-        }
-        let mut reader = LogReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 2);
-        let mut events = Vec::new();
-        while let Some(e) = reader.next_event().unwrap() {
-            events.push(e);
-        }
-        assert_eq!(events, log);
-    }
-
-    #[test]
-    fn torn_v3_tail_recovers_the_frame_prefix() {
+    fn torn_tail_recovers_the_frame_prefix() {
         let log = sample_log();
         let mut buf = Vec::new();
         write_log(&mut buf, &log).unwrap();
@@ -1519,10 +1282,9 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_invalid_data() {
-        let buf = [200u8, 0, 0, 0];
-        let err = read_event(&mut buf.as_slice()).unwrap_err();
+        let err = decode_event(&[200u8, 0, 0, 0]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let err = read_value(&mut [99u8].as_slice()).unwrap_err();
+        let err = decode_value(&[99u8]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1531,7 +1293,7 @@ mod tests {
         // TAG_STR with a 512 MiB length prefix.
         let mut buf = vec![TAG_STR];
         buf.extend_from_slice(&(1u32 << 29).to_le_bytes());
-        let err = read_value(&mut buf.as_slice()).unwrap_err();
+        let err = decode_value(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -1540,7 +1302,7 @@ mod tests {
         // A "pair bomb": thousands of consecutive pair tags would recurse
         // once per byte without the depth guard.
         let bomb = vec![TAG_PAIR; 100_000];
-        let err = read_value(&mut bomb.as_slice()).unwrap_err();
+        let err = decode_value(&bomb).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("nested deeper"));
         // Legitimate nesting well under the limit still round-trips.

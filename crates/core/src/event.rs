@@ -43,14 +43,12 @@ impl fmt::Display for ThreadId {
 /// The paper keeps "actions of different objects in separate logs" (§6.1)
 /// so that per-object logs can be checked concurrently and independently
 /// (§8). Every event carries the object it acted on; single-object runs
-/// use [`ObjectId::DEFAULT`] throughout, which is also what pre-`ObjectId`
-/// logs decode to (see [`crate::codec`]).
+/// use [`ObjectId::DEFAULT`] throughout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
-    /// The object id used when a run does not distinguish objects — and
-    /// the id assigned to every event of a legacy (pre-`ObjectId`) log.
+    /// The object id used when a run does not distinguish objects.
     pub const DEFAULT: ObjectId = ObjectId(0);
 }
 

@@ -112,7 +112,8 @@ pub use codec::DecodeOutcome;
 pub use event::{Event, MethodId, ObjectId, ThreadId, VarId};
 pub use log::{EventLog, LogMode, ThreadLogger};
 pub use overload::{AdaptiveConfig, AdaptiveShed, ShedControl};
-pub use pool::{ObjectChecker, SupervisorConfig, VerifierPool};
+pub use checker::{SteppingChecker, SteppingFactory};
+pub use pool::{SupervisorConfig, VerifierPool};
 pub use segment::{ContinuousVerifier, SegmentConfig, SegmentLogHandle};
 pub use shard::{OverloadPolicy, ShardConfig, ShardRouter};
 pub use spec::{MethodKind, Spec, SpecEffect, SpecError};

@@ -145,7 +145,7 @@ pub struct PipelineMetrics {
     /// Observer-window sizes in commits (§4.3): how much commit-history
     /// each observer return had to be checked against.
     pub checker_observer_window: Arc<Histogram>,
-    /// Channel batches drained by `check_receiver`'s `recv_many` loop.
+    /// Channel batches drained by `SteppingChecker::check`'s `recv_up_to` loop.
     pub checker_batches: Arc<Counter>,
     /// Events delivered through those batches (equals `decode.events`
     /// and the append-side event count when nothing was shed).

@@ -43,7 +43,7 @@ use std::thread::{self, JoinHandle};
 use vyrd_rt::channel::Receiver;
 use vyrd_rt::sync::Mutex;
 
-use crate::checker::Checker;
+use crate::checker::{Checker, SteppingChecker};
 use crate::event::{Event, ObjectId};
 use crate::log::{EventLog, LogMode};
 use crate::pool::panic_message;
@@ -68,11 +68,7 @@ enum Worker {
 /// Runs the checker under a panic boundary: a panicking checker yields a
 /// degraded report (with the panic message and the lost-coverage count)
 /// instead of unwinding the verifier.
-fn supervised_check<S, R>(checker: Checker<S, R>, receiver: &Receiver<Event>) -> Report
-where
-    S: Spec,
-    R: Replayer,
-{
+fn supervised_check(checker: Box<dyn SteppingChecker>, receiver: &Receiver<Event>) -> Report {
     let consumed_before = receiver.popped();
     if vyrd_rt::metrics::enabled() {
         crate::metrics::pipeline().online_checks.inc();
@@ -83,7 +79,7 @@ where
         if vyrd_rt::fault::enabled() {
             vyrd_rt::fault::inject("online.check");
         }
-        checker.check_receiver(receiver)
+        checker.check(receiver)
     })) {
         Ok(report) => report,
         Err(panic) => {
@@ -143,6 +139,7 @@ impl OnlineVerifier {
         R: Replayer,
     {
         let (log, receiver) = EventLog::to_channel(mode);
+        let checker: Box<dyn SteppingChecker> = Box::new(checker);
         let job: Job = Box::new(move || supervised_check(checker, &receiver));
         // Park the job in a shared slot so a failed spawn does not lose
         // it (`Builder::spawn` consumes its closure even on error).

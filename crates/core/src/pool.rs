@@ -3,12 +3,13 @@
 //! [`VerifierPool`] is the multi-object counterpart of
 //! [`OnlineVerifier`](crate::online::OnlineVerifier): it owns a
 //! [`ShardRouter`](crate::shard::ShardRouter) and a set of worker threads.
-//! Each worker pulls newly-announced shards and runs one [`Checker`] —
-//! built per object by a caller-supplied factory — over that object's
-//! event stream. Checking per object is not just parallel, it is *cheaper*:
-//! each checker carries 1/K of the specification state, so the per-commit
-//! costs that scale with spec size (observer-window snapshots, §4.3, and
-//! view comparisons, §5) shrink with it.
+//! Each worker pulls newly-announced shards and runs one
+//! [`Checker`](crate::checker::Checker) — built per object by a
+//! caller-supplied factory, erased to a [`SteppingChecker`] — over that
+//! object's event stream. Checking per object is not just parallel, it is
+//! *cheaper*: each checker carries 1/K of the specification state, so the
+//! per-commit costs that scale with spec size (observer-window snapshots,
+//! §4.3, and view comparisons, §5) shrink with it.
 //!
 //! `finish()` follows the [`OnlineVerifier`](crate::online::OnlineVerifier)
 //! contract — close the log, join the workers, return a merged [`Report`]:
@@ -75,34 +76,13 @@ use std::time::{Duration, Instant};
 use vyrd_rt::channel::Receiver;
 use vyrd_rt::sync::Mutex;
 
-use crate::checker::Checker;
+use crate::checker::{SteppingChecker, SteppingFactory};
 use crate::event::{Event, ObjectId};
 use crate::log::{EventLog, LogMode};
 use crate::metrics::pipeline;
 use crate::overload::{AdaptiveConfig, AdaptiveShed, ShedControl};
-use crate::replay::Replayer;
 use crate::shard::{ShardConfig, ShardRouter};
-use crate::spec::Spec;
 use crate::violation::{Degradation, Report, ShardFailure, Violation};
-
-/// An object-erased checker: what the [`VerifierPool`] factory returns.
-///
-/// Blanket-implemented for every [`Checker`], so a factory is typically
-/// `|object| Box::new(Checker::view(spec_for(object), replayer_for(object))) as _`.
-pub trait ObjectChecker: Send {
-    /// Consumes the checker, checking one object's event stream to
-    /// completion (the shard channel closing ends the stream).
-    fn check(self: Box<Self>, receiver: &Receiver<Event>) -> Report;
-}
-
-impl<S: Spec, R: Replayer> ObjectChecker for Checker<S, R> {
-    fn check(self: Box<Self>, receiver: &Receiver<Event>) -> Report {
-        (*self).check_receiver(receiver)
-    }
-}
-
-/// The factory building one checker per object, shared across workers.
-type Factory = Arc<dyn Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync>;
 
 /// How the pool supervises a checker that panics.
 ///
@@ -150,7 +130,7 @@ pub(crate) fn panic_message(panic: &(dyn Any + Send)) -> String {
 fn check_shard(
     object: ObjectId,
     receiver: &Receiver<Event>,
-    factory: &Factory,
+    factory: &SteppingFactory,
     sup: SupervisorConfig,
 ) -> Report {
     let mut restarts: u32 = 0;
@@ -273,7 +253,7 @@ impl fmt::Display for PoolReport {
 pub struct VerifierPool {
     log: EventLog,
     router: Arc<ShardRouter>,
-    factory: Factory,
+    factory: SteppingFactory,
     supervisor: SupervisorConfig,
     workers: Vec<JoinHandle<()>>,
     results: Arc<Mutex<Vec<(ObjectId, Report)>>>,
@@ -295,7 +275,7 @@ struct AdaptiveRuntime {
 /// watchdog can tell an unclaimed shard from a claimed-but-stuck one.
 fn spawn_workers(
     router: &Arc<ShardRouter>,
-    factory: &Factory,
+    factory: &SteppingFactory,
     results: &Arc<Mutex<Vec<(ObjectId, Report)>>>,
     supervisor: SupervisorConfig,
     control: Option<&Arc<ShedControl>>,
@@ -356,7 +336,7 @@ impl VerifierPool {
     /// touches, the first time an event of that object arrives.
     pub fn spawn<F>(mode: LogMode, workers: usize, factory: F) -> VerifierPool
     where
-        F: Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync + 'static,
+        F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
     {
         VerifierPool::spawn_with(mode, workers, ShardConfig::default(), factory)
     }
@@ -372,7 +352,7 @@ impl VerifierPool {
         factory: F,
     ) -> VerifierPool
     where
-        F: Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync + 'static,
+        F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
     {
         VerifierPool::spawn_supervised(mode, workers, config, SupervisorConfig::default(), factory)
     }
@@ -386,11 +366,11 @@ impl VerifierPool {
         factory: F,
     ) -> VerifierPool
     where
-        F: Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync + 'static,
+        F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
     {
         let (log, router) = ShardRouter::new(mode, config);
         let router = Arc::new(router);
-        let factory: Factory = Arc::new(factory);
+        let factory: SteppingFactory = Arc::new(factory);
         let results = Arc::new(Mutex::new(Vec::new()));
         let handles = spawn_workers(
             &router,
@@ -433,14 +413,14 @@ impl VerifierPool {
         factory: F,
     ) -> VerifierPool
     where
-        F: Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync + 'static,
+        F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
     {
         let control = Arc::new(ShedControl::new(cfg.initial_timeout, cfg.initial_budget));
         let shard_config =
             ShardConfig::bounded_shedding(cfg.capacity, cfg.initial_timeout, cfg.initial_budget);
         let (log, router) = ShardRouter::new_adaptive(mode, shard_config, Arc::clone(&control));
         let router = Arc::new(router);
-        let factory: Factory = Arc::new(factory);
+        let factory: SteppingFactory = Arc::new(factory);
         let results = Arc::new(Mutex::new(Vec::new()));
         let handles = spawn_workers(
             &router,
@@ -587,26 +567,7 @@ impl VerifierPool {
         }
         let mut merged = Report::default();
         for (_, report) in &per_object {
-            let s = &report.stats;
-            let m = &mut merged.stats;
-            m.events += s.events;
-            m.commits_applied += s.commits_applied;
-            m.methods_completed += s.methods_completed;
-            m.observers_checked += s.observers_checked;
-            m.snapshots_taken += s.snapshots_taken;
-            m.view_comparisons += s.view_comparisons;
-            m.view_keys_compared += s.view_keys_compared;
-            m.writes_replayed += s.writes_replayed;
-            m.lin_windows_searched += s.lin_windows_searched;
-            m.lin_witness_backtracks += s.lin_witness_backtracks;
-            m.lin_fastpath_hits += s.lin_fastpath_hits;
-            m.batches += s.batches;
-            m.batch_events += s.batch_events;
-            m.snapshot_replays += s.snapshot_replays;
-            merged.degradation.absorb(&report.degradation);
-            if merged.violation.is_none() {
-                merged.violation = report.violation.clone();
-            }
+            merged.absorb(report);
         }
         // Coverage lost before any checker saw the events: router-level
         // sheds (overload or injected routing drops) and appends dropped
@@ -655,8 +616,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::checker::Checker;
     use crate::event::MethodId;
-    use crate::spec::{MethodKind, SpecEffect, SpecError};
+    use crate::spec::{MethodKind, Spec, SpecEffect, SpecError};
     use crate::value::Value;
     use crate::view::View;
     use std::collections::BTreeSet;
@@ -808,21 +770,42 @@ mod tests {
     }
 
     /// A checker that panics on its first `fail_times` constructions
-    /// (attempt counter shared through the factory), then checks cleanly.
+    /// (attempt counter shared through the factory), then counts events.
     struct FlakyChecker {
         fail: bool,
+        report: Report,
     }
 
-    impl ObjectChecker for FlakyChecker {
-        fn check(self: Box<Self>, receiver: &Receiver<Event>) -> Report {
+    impl SteppingChecker for FlakyChecker {
+        fn feed(&mut self, _event: Event) {
+            self.report.stats.events += 1;
+        }
+
+        fn feed_batch(&mut self, batch: &mut Vec<Event>) {
+            self.report.stats.events += batch.drain(..).count() as u64;
+        }
+
+        fn halted(&self) -> bool {
+            // Panic before the first receive, so a restart re-checks the
+            // whole stream.
             if self.fail {
                 panic!("induced checker failure");
             }
-            let mut report = Report::default();
-            while receiver.recv().is_ok() {
-                report.stats.events += 1;
-            }
-            report
+            false
+        }
+
+        fn save_state(&self) -> Result<Value, crate::checker::state::StateError> {
+            unimplemented!("the pool never checkpoints")
+        }
+
+        fn restore_state(&mut self, _: &Value) -> Result<(), crate::checker::state::StateError> {
+            unimplemented!("the pool never checkpoints")
+        }
+
+        fn mark_input_truncated(&mut self) {}
+
+        fn finish(self: Box<Self>) -> Report {
+            self.report
         }
     }
 
@@ -835,7 +818,10 @@ mod tests {
             supervisor,
             move |_object| {
                 let n = attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Box::new(FlakyChecker { fail: n < fail_times }) as _
+                Box::new(FlakyChecker {
+                    fail: n < fail_times,
+                    report: Report::default(),
+                }) as _
             },
         )
     }

@@ -172,12 +172,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Checkpoint> {
     if crc32(payload) != crc {
         return Err(malformed("checkpoint payload CRC mismatch"));
     }
-    let mut cursor = payload;
-    let value = codec::read_value(&mut cursor)?;
-    if !cursor.is_empty() {
-        return Err(malformed("trailing bytes after checkpoint payload"));
-    }
-    value_checkpoint(&value)
+    value_checkpoint(&codec::decode_value(payload)?)
 }
 
 /// Loads the newest checkpoint whose file decodes and validates,

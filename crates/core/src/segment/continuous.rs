@@ -31,79 +31,16 @@ use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use crate::checker::state::StateError;
-use crate::checker::Checker;
+use crate::checker::{SteppingChecker, SteppingFactory};
 use crate::codec::{self, DecodeOutcome};
 use crate::event::{Event, ObjectId};
 use crate::metrics::pipeline;
-use crate::replay::Replayer;
-use crate::spec::Spec;
-use crate::value::Value;
 use crate::violation::{Degradation, Report};
 
 use super::checkpoint::{self, Checkpoint};
-use super::{scan_segments, ScannedSegment};
-
-/// A checker that can be fed one event at a time and serialized between
-/// events — what the continuous verifier needs from
-/// [`Checker`](crate::checker::Checker), object-safe so checkers over
-/// different specifications can share a map.
-pub trait SteppingChecker: Send {
-    /// Feeds the next event of this object's subsequence.
-    fn feed(&mut self, event: Event);
-    /// `true` once a violation was found.
-    fn violation_found(&self) -> bool;
-    /// Serializes the full checker state (see
-    /// [`Checker::save_state`](crate::checker::Checker::save_state)).
-    ///
-    /// # Errors
-    ///
-    /// Fails when a component of the state is not checkpointable.
-    fn save_state(&self) -> Result<Value, StateError>;
-    /// Restores state saved by [`SteppingChecker::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed or incompatible state.
-    fn restore_state(&mut self, state: &Value) -> Result<(), StateError>;
-    /// Declares the fed history a crash-recovered prefix (see
-    /// [`Checker::mark_input_truncated`](crate::checker::Checker::mark_input_truncated)).
-    fn mark_input_truncated(&mut self);
-    /// Ends the log and produces the report.
-    fn finish(self: Box<Self>) -> Report;
-}
-
-impl<S: Spec, R: Replayer> SteppingChecker for Checker<S, R> {
-    fn feed(&mut self, event: Event) {
-        Checker::feed(self, event);
-    }
-
-    fn violation_found(&self) -> bool {
-        Checker::violation_found(self)
-    }
-
-    fn save_state(&self) -> Result<Value, StateError> {
-        Checker::save_state(self)
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), StateError> {
-        Checker::restore_state(self, state)
-    }
-
-    fn mark_input_truncated(&mut self) {
-        Checker::mark_input_truncated(self);
-    }
-
-    fn finish(self: Box<Self>) -> Report {
-        (*self).into_report()
-    }
-}
-
-/// Builds one checkpointable checker per object, on demand and again
-/// after recovery.
-pub type SteppingFactory = Arc<dyn Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync>;
+use super::{scan_segments, writer_finished, ScannedSegment};
 
 /// Tuning knobs for the continuous verifier.
 #[derive(Clone, Debug)]
@@ -239,11 +176,6 @@ impl ContinuousVerifier {
         self.stalled
     }
 
-    /// `true` if any checker has already found a violation.
-    pub fn violation_found(&self) -> bool {
-        self.checkers.values().any(|c| c.violation_found())
-    }
-
     /// Checks every sealed segment the manifest gained since the last
     /// call, checkpointing per
     /// [`ContinuousOptions::checkpoint_every_segments`] and deleting
@@ -269,7 +201,7 @@ impl ContinuousVerifier {
                 break;
             }
             let sealed_events = segment.sealed_events.unwrap_or(0);
-            let (events, damage) = read_sealed(segment)?;
+            let (events, damage) = read_recovering(segment)?;
             let decoded = events.len() as u64;
             progress.events_checked += self.feed_from(segment.first_seq, events);
             if decoded < sealed_events || damage > 0 {
@@ -387,13 +319,14 @@ impl ContinuousVerifier {
     /// the final checkpoint.
     pub fn finalize(mut self) -> io::Result<Report> {
         self.step()?;
-        let mut crash_evidence = self.stalled;
+        let mut crash_evidence = self.stalled || !writer_finished(&self.dir)?;
         if !self.stalled {
             crash_evidence |= self.consume_tail()?;
         }
         if crash_evidence {
             // The durable history demonstrably ends short of the real
-            // execution (unsealed tail, torn frames, or a hole), so a
+            // execution (unsealed tail, torn frames, a hole, or a writer
+            // that never shut down), so a
             // commit whose return is missing at EOF is lost coverage,
             // not a malformed log.
             for checker in self.checkers.values_mut() {
@@ -403,27 +336,7 @@ impl ContinuousVerifier {
         self.checkpoint()?;
         let mut merged = Report::default();
         for (_, checker) in std::mem::take(&mut self.checkers) {
-            let report = checker.finish();
-            let m = &mut merged.stats;
-            let s = &report.stats;
-            m.events += s.events;
-            m.commits_applied += s.commits_applied;
-            m.methods_completed += s.methods_completed;
-            m.observers_checked += s.observers_checked;
-            m.snapshots_taken += s.snapshots_taken;
-            m.view_comparisons += s.view_comparisons;
-            m.view_keys_compared += s.view_keys_compared;
-            m.writes_replayed += s.writes_replayed;
-            m.lin_windows_searched += s.lin_windows_searched;
-            m.lin_witness_backtracks += s.lin_witness_backtracks;
-            m.lin_fastpath_hits += s.lin_fastpath_hits;
-            m.batches += s.batches;
-            m.batch_events += s.batch_events;
-            m.snapshot_replays += s.snapshot_replays;
-            merged.degradation.absorb(&report.degradation);
-            if merged.violation.is_none() {
-                merged.violation = report.violation.clone();
-            }
+            merged.absorb(&checker.finish());
         }
         merged.degradation.absorb(&self.degradation);
         Ok(merged)
@@ -460,17 +373,7 @@ impl ContinuousVerifier {
                 self.degradation.torn_bytes_discarded += len;
                 continue;
             }
-            let (events, damage) = match File::open(&segment.path) {
-                Ok(file) => match codec::read_log_recovering(file) {
-                    DecodeOutcome::Complete { records } => (records, 0),
-                    DecodeOutcome::RecoveredPrefix {
-                        records,
-                        bytes_discarded,
-                        ..
-                    } => (records, bytes_discarded),
-                },
-                Err(e) => return Err(e),
-            };
+            let (events, damage) = read_recovering(segment)?;
             let decoded = events.len() as u64;
             self.feed_from(segment.first_seq, events);
             self.next_seq = segment.first_seq + decoded;
@@ -484,9 +387,9 @@ impl ContinuousVerifier {
     }
 }
 
-/// Reads one sealed segment, tolerating (and measuring) a damaged tail.
+/// Reads one segment file, tolerating (and measuring) a damaged tail.
 /// Returns the decoded events and the number of damaged bytes.
-fn read_sealed(segment: &ScannedSegment) -> io::Result<(Vec<Event>, u64)> {
+fn read_recovering(segment: &ScannedSegment) -> io::Result<(Vec<Event>, u64)> {
     let file = File::open(&segment.path)?;
     Ok(match codec::read_log_recovering(file) {
         DecodeOutcome::Complete { records } => (records, 0),
@@ -501,9 +404,13 @@ fn read_sealed(segment: &ScannedSegment) -> io::Result<(Vec<Event>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use crate::checker::Checker;
     use crate::log::LogMode;
     use crate::segment::{SegmentConfig, SegmentLogHandle};
-    use crate::spec::{MethodKind, SpecEffect, SpecError};
+    use crate::spec::{MethodKind, Spec, SpecEffect, SpecError};
+    use crate::value::Value;
     use crate::view::View;
     use crate::MethodId;
 
@@ -615,6 +522,21 @@ mod tests {
     }
 
     #[test]
+    fn checker_state_of_any_other_layout_is_rejected() {
+        let mut checker = Checker::io(CountSpec::default());
+        let saved = checker.save_state().unwrap();
+        checker.restore_state(&saved).unwrap();
+        // A checkpoint file is outside input: the retired 14-field layout
+        // (and any other field count) must fail to restore, not default.
+        let Value::List(mut fields) = saved else {
+            panic!("state is a list")
+        };
+        fields.pop();
+        let err = checker.restore_state(&Value::List(fields)).unwrap_err();
+        assert!(err.message().contains("expected 15 fields"), "{err}");
+    }
+
+    #[test]
     fn checks_deletes_and_resumes() {
         let dir = temp_dir("continuous-basic");
         std::fs::remove_dir_all(&dir).ok();
@@ -687,6 +609,50 @@ mod tests {
         assert!(report.passed(), "prefix is clean: {report:?}");
         assert!(report.is_degraded(), "torn bytes must degrade");
         assert!(report.degradation.torn_bytes_discarded > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A writer SIGKILLed exactly between a seal and the next segment's
+    /// creation leaves every file sealed: the manifest's missing
+    /// `finished` line is the only crash evidence.
+    #[test]
+    fn kill_at_a_segment_boundary_degrades_instead_of_failing() {
+        let dir = temp_dir("continuous-boundary-kill");
+        for killed in [false, true] {
+            std::fs::remove_dir_all(&dir).ok();
+            let handle =
+                SegmentLogHandle::spawn(LogMode::Io, SegmentConfig::new(&dir)).unwrap();
+            let (tid, object) = (crate::event::ThreadId(0), ObjectId(0));
+            // The history ends on a commit whose return was never logged.
+            handle.append(vec![
+                Event::Call {
+                    tid,
+                    object,
+                    method: MethodId::from("Add"),
+                    args: crate::event::ArgList::from_slice(&[Value::from(1i64)]),
+                },
+                Event::Commit { tid, object },
+            ]);
+            handle.finish().unwrap();
+            if killed {
+                let manifest = dir.join("manifest.log");
+                let text = std::fs::read_to_string(&manifest).unwrap();
+                std::fs::write(&manifest, text.strip_suffix("finished\n").unwrap()).unwrap();
+            }
+            let report =
+                ContinuousVerifier::open(&dir, factory(), ContinuousOptions::default())
+                    .unwrap()
+                    .finalize()
+                    .unwrap();
+            if killed {
+                assert!(report.passed(), "the kill must not forge a violation: {report:?}");
+                assert_eq!(report.degradation.events_lost, 1, "{:?}", report.degradation);
+            } else {
+                // An orderly shutdown vouches for the history: the missing
+                // return is the program's.
+                assert_eq!(report.violation.unwrap().category(), "malformed-log");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

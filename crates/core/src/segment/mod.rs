@@ -51,10 +51,9 @@ use crate::event::Event;
 use crate::log::LogMode;
 use crate::metrics::pipeline;
 
+pub use crate::checker::{SteppingChecker, SteppingFactory};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-pub use continuous::{
-    ContinuousOptions, ContinuousVerifier, SteppingChecker, SteppingFactory, StepProgress,
-};
+pub use continuous::{ContinuousOptions, ContinuousVerifier, StepProgress};
 
 use std::sync::Arc;
 
@@ -66,6 +65,11 @@ const SEGMENT_PREFIX: &str = "seg-";
 const MANIFEST_NAME: &str = "manifest.log";
 /// First line of a manifest file.
 const MANIFEST_HEADER: &str = "vyrd-segment-manifest v1";
+/// Last line of the manifest of a writer that shut down in order. A
+/// writer killed exactly between a seal and the next segment's creation
+/// leaves no unsealed tail; this line's absence is then the only evidence
+/// that the history ends short of the execution.
+const MANIFEST_FINISHED: &str = "finished";
 
 /// Configuration of a segment directory writer.
 #[derive(Clone, Debug)]
@@ -210,6 +214,16 @@ fn read_manifest(dir: &Path) -> io::Result<Vec<(u64, u64)>> {
         }
     }
     Ok(entries)
+}
+
+/// `true` when the directory's writer sealed its tail and shut down in
+/// order (see [`MANIFEST_FINISHED`]); `false` for a missing manifest.
+pub(crate) fn writer_finished(dir: &Path) -> io::Result<bool> {
+    match fs::read_to_string(dir.join(MANIFEST_NAME)) {
+        Ok(manifest) => Ok(manifest.lines().last() == Some(MANIFEST_FINISHED)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// Messages from [`SegmentLogHandle`]s (and the log's sink) to the
@@ -365,7 +379,7 @@ impl Writer {
                     let _ = ack.send(self.flush());
                 }
                 Ok(WriterMsg::Finish(ack)) => {
-                    let result = self.seal().map(|()| SegmentWriterSummary {
+                    let result = self.finish().map(|()| SegmentWriterSummary {
                         segments_sealed: self.segments_sealed,
                         events: self.next_seq,
                         bytes: self.bytes_total,
@@ -377,7 +391,7 @@ impl Writer {
                 // Every handle (and the log's sink) is gone: seal what we
                 // have and exit.
                 Err(_) => {
-                    let _ = self.seal();
+                    let _ = self.finish();
                     return;
                 }
             }
@@ -449,6 +463,15 @@ impl Writer {
             pipeline().segment_sealed.inc();
         }
         Ok(())
+    }
+
+    /// Orderly shutdown: seals the open segment, then records in the
+    /// manifest that the history is complete.
+    fn finish(&mut self) -> io::Result<()> {
+        self.seal()?;
+        writeln!(self.manifest, "{MANIFEST_FINISHED}")?;
+        self.manifest.flush()?;
+        self.manifest.sync_all()
     }
 
     /// Flushes the open segment's buffered frames to the OS (no fsync,
@@ -546,10 +569,12 @@ mod tests {
         .unwrap();
         handle.append(vec![call(1), call(2)]);
         handle.finish().unwrap();
-        // Tear the final manifest line mid-entry.
+        // A writer killed mid-append: no `finished` line, and the final
+        // entry torn.
         let path = dir.join(MANIFEST_NAME);
         let text = std::fs::read_to_string(&path).unwrap();
-        let torn = &text[..text.len() - 4];
+        let killed = text.strip_suffix("finished\n").unwrap();
+        let torn = &killed[..killed.len() - 4];
         std::fs::write(&path, torn).unwrap();
         let segments = scan_segments(&dir).unwrap();
         assert_eq!(segments.len(), 2);

@@ -271,7 +271,7 @@ pub struct CheckStats {
     /// observation digest — no full specification snapshot consulted.
     pub lin_fastpath_hits: u64,
     /// Channel batches consumed by the batched online path
-    /// (`Checker::check_receiver`'s `recv_many` loop); zero offline.
+    /// (`SteppingChecker::check`'s `recv_up_to` loop); zero offline.
     pub batches: u64,
     /// Events received through those batches. Greater than or equal to
     /// `events` when a violation stopped the run mid-batch (the rest of
@@ -285,6 +285,46 @@ pub struct CheckStats {
     /// `finish()`). Nonzero means the verdict covers a prefix of the
     /// execution only.
     pub events_discarded_after_close: u64,
+}
+
+impl CheckStats {
+    /// Adds every counter of `other` into this record. The destructuring
+    /// is exhaustive on purpose: a new counter that this sum forgets is a
+    /// compile error, not a silently under-reported merged verdict.
+    fn absorb(&mut self, other: &CheckStats) {
+        let CheckStats {
+            events,
+            commits_applied,
+            methods_completed,
+            observers_checked,
+            snapshots_taken,
+            view_comparisons,
+            view_keys_compared,
+            writes_replayed,
+            lin_windows_searched,
+            lin_witness_backtracks,
+            lin_fastpath_hits,
+            batches,
+            batch_events,
+            snapshot_replays,
+            events_discarded_after_close,
+        } = *other;
+        self.events += events;
+        self.commits_applied += commits_applied;
+        self.methods_completed += methods_completed;
+        self.observers_checked += observers_checked;
+        self.snapshots_taken += snapshots_taken;
+        self.view_comparisons += view_comparisons;
+        self.view_keys_compared += view_keys_compared;
+        self.writes_replayed += writes_replayed;
+        self.lin_windows_searched += lin_windows_searched;
+        self.lin_witness_backtracks += lin_witness_backtracks;
+        self.lin_fastpath_hits += lin_fastpath_hits;
+        self.batches += batches;
+        self.batch_events += batch_events;
+        self.snapshot_replays += snapshot_replays;
+        self.events_discarded_after_close += events_discarded_after_close;
+    }
 }
 
 /// One shard checker's crash record: what a supervised
@@ -698,6 +738,17 @@ impl Report {
     /// `true` when the verdict covers less than the full execution.
     pub fn is_degraded(&self) -> bool {
         self.degradation.is_degraded()
+    }
+
+    /// Folds one object's report into a merged verdict: stats summed,
+    /// degradation absorbed, first violation wins — so callers fold in a
+    /// deterministic order (ascending object id).
+    pub fn absorb(&mut self, other: &Report) {
+        self.stats.absorb(&other.stats);
+        self.degradation.absorb(&other.degradation);
+        if self.violation.is_none() {
+            self.violation = other.violation.clone();
+        }
     }
 
     /// The three-valued outcome: a violation always wins; otherwise a

@@ -1,20 +1,10 @@
 //! Crash-tolerance contract (satellite of the fault-injection work): a
 //! log chopped at **every** byte offset — simulating a writer that died
 //! mid-record — must decode without a panic, recovering exactly the
-//! maximal prefix of complete records. Exercised against all three wire
-//! formats: the checked-in v1 fixture, a synthetic bare-record v2
-//! stream, and the current framed-and-checksummed v3.
+//! maximal prefix of complete records.
 
-use std::fs;
-use std::path::PathBuf;
-
-use vyrd_core::codec::{self, DecodeOutcome, MAGIC};
+use vyrd_core::codec::{self, DecodeOutcome};
 use vyrd_core::{Event, MethodId, ObjectId, ThreadId, Value, VarId};
-
-fn v1_fixture() -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/v1_pre_objectid.log");
-    fs::read(path).expect("v1 fixture present")
-}
 
 fn sample_events() -> Vec<Event> {
     let mut events = Vec::new();
@@ -44,19 +34,8 @@ fn sample_events() -> Vec<Event> {
     events
 }
 
-/// A v2 stream: `MAGIC` + version 2 + bare (unframed) records.
-fn v2_bytes(events: &[Event]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    for e in events {
-        codec::write_event(&mut bytes, e).expect("vec write");
-    }
-    bytes
-}
-
-/// A v3 stream: the current framed format, via the public writer.
-fn v3_bytes(events: &[Event]) -> Vec<u8> {
+/// The framed format, via the public writer.
+fn framed_bytes(events: &[Event]) -> Vec<u8> {
     let mut bytes = Vec::new();
     codec::write_log(&mut bytes, events).expect("vec write");
     bytes
@@ -103,42 +82,22 @@ fn assert_recovers_prefix_at_every_cut(label: &str, bytes: &[u8], full: &[Event]
 }
 
 #[test]
-fn v1_fixture_chopped_at_every_offset_recovers_a_prefix() {
-    let bytes = v1_fixture();
-    let full = match codec::read_log_recovering(&bytes[..]) {
-        DecodeOutcome::Complete { records } => records,
-        DecodeOutcome::RecoveredPrefix { detail, .. } => {
-            panic!("fixture itself failed to decode: {detail}")
-        }
-    };
-    assert!(!full.is_empty(), "fixture holds events");
-    assert_recovers_prefix_at_every_cut("v1", &bytes, &full);
+fn stream_chopped_at_every_offset_recovers_a_prefix() {
+    let full = sample_events();
+    let bytes = framed_bytes(&full);
+    assert_recovers_prefix_at_every_cut("framed", &bytes, &full);
 }
 
 #[test]
-fn v2_stream_chopped_at_every_offset_recovers_a_prefix() {
+fn flipped_byte_is_rejected_not_a_panic() {
     let full = sample_events();
-    let bytes = v2_bytes(&full);
-    assert_recovers_prefix_at_every_cut("v2", &bytes, &full);
-}
-
-#[test]
-fn v3_stream_chopped_at_every_offset_recovers_a_prefix() {
-    let full = sample_events();
-    let bytes = v3_bytes(&full);
-    assert_recovers_prefix_at_every_cut("v3", &bytes, &full);
-}
-
-#[test]
-fn v3_flipped_byte_is_rejected_by_the_frame_checksum_not_a_panic() {
-    let full = sample_events();
-    let bytes = v3_bytes(&full);
-    // Flip one byte at a time across every frame (the 8-byte header is
-    // excluded: a damaged magic legitimately re-sniffs as headerless v1).
-    // Every corruption must surface as a recovered prefix — the checksum
-    // catches payload damage, the length checks catch framing damage —
-    // and nothing may panic.
-    for i in 8..bytes.len() {
+    let bytes = framed_bytes(&full);
+    // Flip one byte at a time across the header and every frame. Every
+    // corruption must surface as a recovered prefix — the strict header
+    // checks catch magic/version/mode damage, the checksum catches
+    // payload damage, the length checks catch framing damage — and
+    // nothing may panic.
+    for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0x40;
         let outcome = codec::read_log_recovering(&corrupt[..]);

@@ -355,7 +355,7 @@ fn case_spawn_fallback(scenario: &dyn Scenario, seed: u64) -> Result<String, Str
     ))
 }
 
-/// Case: the recorded trace is written to the v3 on-disk format and its
+/// Case: the recorded trace is written to the v4 on-disk format and its
 /// tail torn off at a seeded offset (a crash mid-write). Decoding must
 /// never panic: [`codec::read_log_recovering`] yields the maximal clean
 /// prefix, and the offline checkers consume that prefix to a verdict.

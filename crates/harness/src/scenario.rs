@@ -7,14 +7,14 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use vyrd_rt::channel::Receiver;
+use vyrd_core::checker::{CheckerOptions, SteppingFactory};
 use vyrd_core::log::{EventLog, LogMode, LogStats};
-use vyrd_core::pool::{ObjectChecker, PoolReport, SupervisorConfig, VerifierPool};
+use vyrd_core::pool::{PoolReport, SupervisorConfig, VerifierPool};
 use vyrd_core::segment::{
-    ContinuousOptions, ContinuousVerifier, SegmentConfig, SegmentWriterSummary, SteppingFactory,
+    ContinuousOptions, ContinuousVerifier, SegmentConfig, SegmentWriterSummary,
 };
 use vyrd_core::shard::ShardConfig;
 use vyrd_core::violation::{Report, Violation};
@@ -26,10 +26,6 @@ use vyrd_core::{AdaptiveConfig, Event, ObjectId};
 
 use crate::measure::timed;
 use crate::workload::WorkloadConfig;
-
-/// Builds one checker per object for sharded verification — what a
-/// scenario hands to a [`VerifierPool`].
-pub type ShardFactory = Arc<dyn Fn(ObjectId) -> Box<dyn ObjectChecker> + Send + Sync>;
 
 /// Which bug variant of a scenario to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,9 +49,6 @@ pub enum CheckKind {
     /// (`vyrd_core::checker::Checker::lin`).
     Lin,
 }
-
-/// The checking modes, by their other common name.
-pub type CheckMode = CheckKind;
 
 impl CheckKind {
     /// The logging mode this check requires. Lin checking consumes the
@@ -98,6 +91,11 @@ pub struct RunArtifacts {
 }
 
 /// One benchmark system with its workload, specification, and replayer.
+///
+/// A scenario names its checkers once, in [`Scenario::checkers`]; every
+/// way of checking — offline, streaming, sharded, continuous — and the
+/// capability answers ([`Scenario::supports`], which factories exist) are
+/// derived from that one method.
 pub trait Scenario: Send + Sync {
     /// Row label, as in the paper's tables (e.g. `"Multiset-Vector"`).
     fn name(&self) -> &'static str;
@@ -105,28 +103,9 @@ pub trait Scenario: Send + Sync {
     /// The injected/known bug, as described in Table 1.
     fn bug(&self) -> &'static str;
 
-    /// Does this scenario support checking mode `kind`? A scenario
-    /// whose `check*` methods are called with an unsupported mode must
-    /// return [`unsupported_report`] — a failed verdict naming the
-    /// configuration error — rather than a vacuous PASS.
-    fn supports(&self, kind: CheckKind) -> bool {
-        let _ = kind;
-        true
-    }
-
     /// Runs the workload against a fresh instance that records into
     /// `log`.
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant);
-
-    /// Checks a recorded log offline (stops at the first violation).
-    fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report;
-
-    /// Checks a recorded log offline, consuming the whole trace even
-    /// after a violation — the cost basis for Table 1's CPU-ratio column.
-    fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report;
-
-    /// Checks a live event stream (for the online verification thread).
-    fn check_stream(&self, kind: CheckKind, receiver: &Receiver<Event>) -> Report;
 
     /// Runs the workload over `objects` independent instances of the data
     /// structure, each logging under its own [`ObjectId`] (via
@@ -137,21 +116,69 @@ pub trait Scenario: Send + Sync {
         false
     }
 
-    /// The per-object checker factory for sharded verification, or `None`
-    /// when the scenario has no multi-object mode (the default).
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        let _ = kind;
-        None
+    /// The scenario's checkers: a factory building one `kind` checker
+    /// (this scenario's specification, replayer and invariants, under
+    /// `options`) per object, or `None` when the scenario does not
+    /// support `kind`.
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory>;
+
+    /// Does this scenario support checking mode `kind`? Checking in an
+    /// unsupported mode returns [`unsupported_report`] — a failed verdict
+    /// naming the configuration error — rather than a vacuous PASS.
+    fn supports(&self, kind: CheckKind) -> bool {
+        self.shard_factory(kind).is_some()
+    }
+
+    /// Checks a recorded log offline (stops at the first violation).
+    fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
+        match self.shard_factory(kind) {
+            Some(factory) => factory(ObjectId::DEFAULT).check_events(events),
+            None => unsupported_report(self.name(), kind),
+        }
+    }
+
+    /// Checks a recorded log offline, consuming the whole trace even
+    /// after a violation — the cost basis for Table 1's CPU-ratio column.
+    fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
+        let options = CheckerOptions {
+            stop_at_first_violation: false,
+            ..CheckerOptions::default()
+        };
+        match self.checkers(kind, options) {
+            Some(factory) => factory(ObjectId::DEFAULT).check_events(events),
+            None => unsupported_report(self.name(), kind),
+        }
+    }
+
+    /// Checks a live event stream (for the online verification thread).
+    fn check_stream(&self, kind: CheckKind, receiver: &Receiver<Event>) -> Report {
+        match self.shard_factory(kind) {
+            Some(factory) => factory(ObjectId::DEFAULT).check(receiver),
+            None => {
+                // Drain the stream so the producer side never blocks on
+                // an abandoned channel before reporting the
+                // configuration error.
+                while receiver.recv().is_ok() {}
+                unsupported_report(self.name(), kind)
+            }
+        }
+    }
+
+    /// The per-object checker factory for sharded verification — what a
+    /// scenario hands to a [`VerifierPool`] — or `None` when the scenario
+    /// does not support `kind`.
+    fn shard_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
+        self.checkers(kind, CheckerOptions::default())
     }
 
     /// The per-object *checkpointable* checker factory for the continuous
-    /// verification service, or `None` when the scenario's spec/replayer
-    /// cannot serialize its state for `kind` (the default). I/O-mode
-    /// checkers need only the spec to be checkpointable; view-mode
-    /// checkers additionally need the replayer.
+    /// verification service: [`Scenario::shard_factory`] when a fresh
+    /// checker can serialize its state, `None` otherwise. I/O and Lin
+    /// checkers need only the spec to be checkpointable; view checkers
+    /// additionally need the replayer.
     fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        let _ = kind;
-        None
+        self.shard_factory(kind)
+            .filter(|factory| factory(ObjectId::DEFAULT).save_state().is_ok())
     }
 
     /// The counterexample minimizer for this scenario family. The
@@ -362,13 +389,28 @@ pub fn run_online_sharded_with(
         supervisor,
         move |object| factory(object),
     );
+    let (wall, _, all) = run_on_pool(scenario, cfg, variant, objects, pool)?;
+    Some((wall, all))
+}
+
+/// Runs the multi-object workload into `pool`'s log, then collects the
+/// pool's verdict. The log counters (appended / dropped / bytes) are read
+/// after the workload finished and before the pool folds its ledger.
+fn run_on_pool(
+    scenario: &dyn Scenario,
+    cfg: &WorkloadConfig,
+    variant: Variant,
+    objects: u32,
+    pool: VerifierPool,
+) -> Option<(Duration, LogStats, PoolReport)> {
     let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         timed(|| scenario.run_multi(cfg, pool.log(), variant, objects))
     }));
     match run_result {
         Ok((supported, wall)) => {
-            let all = pool.finish_all();
-            supported.then_some((wall, all))
+            let log_stats = pool.log().stats();
+            let report = pool.finish_all();
+            supported.then_some((wall, log_stats, report))
         }
         Err(panic) => {
             // Unblock the workers before unwinding; dropping the pool
@@ -421,24 +463,12 @@ pub fn run_soak(
         supervisor,
         move |object| factory(object),
     );
-    let run_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        timed(|| scenario.run_multi(cfg, pool.log(), variant, objects))
-    }));
-    match run_result {
-        Ok((supported, wall)) => {
-            let log_stats = pool.log().stats();
-            let report = pool.finish_all();
-            supported.then_some(SoakArtifacts {
-                wall,
-                report,
-                log_stats,
-            })
-        }
-        Err(panic) => {
-            pool.log().close();
-            std::panic::resume_unwind(panic)
-        }
-    }
+    let (wall, log_stats, report) = run_on_pool(scenario, cfg, variant, objects, pool)?;
+    Some(SoakArtifacts {
+        wall,
+        report,
+        log_stats,
+    })
 }
 
 /// What a continuous (durably segmented) run produced.

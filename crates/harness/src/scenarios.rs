@@ -1,38 +1,35 @@
 //! The six benchmark systems of Tables 1–3, wired to the §7.1 workload
 //! driver.
 
-use vyrd_blinktree::{BLinkReplayer, BLinkSpec, BLinkTree, BLinkVariant};
-use vyrd_core::checker::{Checker, CheckerOptions};
-use vyrd_core::log::EventLog;
-use vyrd_core::violation::Report;
-use vyrd_core::Event;
-use vyrd_javalib::{
-    BufferPool, StringBufferReplayer, StringBufferSpec, StringBufferVariant, SyncVector,
-    VectorReplayer, VectorSpec, VectorVariant,
-};
-use vyrd_lockfree::{
-    MsQueue, QueueSpec, QueueVariant, StackSpec, StackVariant, TreiberStack,
-};
-use vyrd_multiset::{
-    BstMultiset, BstReplayer, BstVariant, FindSlotVariant, MultisetSpec, SlotReplayer,
-    VectorMultiset,
-};
-use vyrd_storage::{
-    clean_matches_chunk, entry_in_exactly_one_list, BoxCache, CacheReplayer, CacheVariant,
-    ChunkManager, StoreSpec,
-};
-
 use std::sync::Arc;
 
-use vyrd_core::pool::ObjectChecker;
-use vyrd_core::segment::{SteppingChecker, SteppingFactory};
+use vyrd_blinktree::{BLinkReplayer, BLinkSpec, BLinkTree, BLinkTreeHandle, BLinkVariant};
+use vyrd_core::checker::{Checker, CheckerOptions, SteppingChecker, SteppingFactory};
+use vyrd_core::log::EventLog;
+use vyrd_core::replay::Replayer;
 use vyrd_core::spec::Spec;
 use vyrd_core::witness::{
     BasicExplainer, DdminMinimizer, Explainer, LinExplainer, Minimizer, ViewExplainer,
 };
 use vyrd_core::ObjectId;
+use vyrd_javalib::{
+    BufferPool, BufferPoolHandle, StringBufferReplayer, StringBufferSpec, StringBufferVariant,
+    SyncVector, SyncVectorHandle, VectorReplayer, VectorSpec, VectorVariant,
+};
+use vyrd_lockfree::{
+    MsQueue, MsQueueHandle, QueueSpec, QueueVariant, StackSpec, StackVariant, TreiberStack,
+    TreiberStackHandle,
+};
+use vyrd_multiset::{
+    BstMultiset, BstMultisetHandle, BstReplayer, BstVariant, FindSlotVariant, MultisetSpec,
+    SlotReplayer, VectorMultiset, VectorMultisetHandle,
+};
+use vyrd_storage::{
+    clean_matches_chunk, entry_in_exactly_one_list, BoxCache, BoxCacheHandle, CacheReplayer,
+    CacheVariant, ChunkManager, StoreSpec,
+};
 
-use crate::scenario::{unsupported_report, CheckKind, Scenario, ShardFactory, Variant};
+use crate::scenario::{CheckKind, Scenario, Variant};
 use crate::workload::{OpBudget, ThreadWorkload, WorkloadConfig};
 
 /// All six table rows, in the paper's order.
@@ -112,76 +109,113 @@ where
     });
 }
 
+/// The logs [`Scenario::run_multi`] hands its instances: `log` scoped to
+/// one [`ObjectId`] per object (§8).
+fn object_logs(log: &EventLog, objects: u32) -> Vec<EventLog> {
+    (0..objects.max(1))
+        .map(|i| log.with_object(ObjectId(i)))
+        .collect()
+}
 
-/// A continuous-verification factory over spec-only (I/O or Lin mode)
-/// checkers of `make`'s specification. Every spec in this module is
-/// checkpointable, so every scenario supports continuous I/O and Lin
-/// checking; view-mode support additionally needs a checkpointable
-/// replayer (the cache and both multiset replayers have one) and is
-/// handled per scenario.
-fn spec_stepping<S, F>(kind: CheckKind, make: F) -> Option<SteppingFactory>
-where
-    S: Spec + 'static,
-    F: Fn() -> S + Send + Sync + 'static,
+/// Runs the workload threads over `instances`, one `step` per budgeted
+/// call; `step` is the scenario's op mix, written once for both entry
+/// points.
+///
+/// `per_call` is [`Scenario::run_multi`]'s discipline: every call first
+/// draws its instance from the workload stream and takes a handle to it.
+/// Without it ([`Scenario::run`]) each thread hoists one handle to the
+/// single instance and draws nothing extra, so a seed's op stream is the
+/// same through either entry point as before they shared this loop
+/// (pinned by `tests/scenario_contract.rs`).
+fn drive_calls<T, H, K>(
+    cfg: &WorkloadConfig,
+    instances: &[T],
+    per_call: bool,
+    handle: impl Fn(&T) -> H + Sync,
+    step: impl Fn(&H, &mut ThreadWorkload, usize) + Sync,
+    internal_task: Option<K>,
+) where
+    T: Sync,
+    K: FnMut() + Send,
 {
+    drive(
+        cfg,
+        |_, mut wl, ops| {
+            if per_call {
+                for i in ops {
+                    let pick = wl.next_int(instances.len() as i64) as usize;
+                    step(&handle(&instances[pick]), &mut wl, i);
+                }
+            } else {
+                let h = handle(&instances[0]);
+                for i in ops {
+                    step(&h, &mut wl, i);
+                }
+            }
+        },
+        internal_task,
+    );
+}
+
+/// Seeds every instance through a handle of its own. [`Scenario::run`]
+/// binds the result and so keeps those handles open to the end of the
+/// run: the events left in such a handle's buffer hold the log's lowest
+/// sequence numbers, so the merger parks the workload's first batches
+/// until its pressure flush, and that first large delivery sizes an
+/// in-memory sink's buffer. Closing them early changes no event, but the
+/// sink then grows through other capacities and a recording's speed comes
+/// to depend on where the allocator places them (measured: it alternated
+/// between two speeds from one recording to the next).
+/// [`Scenario::run_multi`] (`per_call`) closes them at once: a live
+/// verifier must not wait on a seeding buffer.
+fn seeded<T, H>(instances: &[T], per_call: bool, handle: fn(&T) -> H, seed: fn(&H)) -> Option<Vec<H>> {
+    let handles: Vec<H> = instances.iter().map(handle).inspect(seed).collect();
+    (!per_call).then_some(handles)
+}
+
+/// An internal task (compressor, flusher) servicing every instance in
+/// rotation — with one instance, that instance every time.
+fn in_rotation<H: Send>(handles: Vec<H>, service: fn(&H)) -> impl FnMut() + Send {
+    let mut next = 0usize;
+    move || {
+        service(&handles[next % handles.len()]);
+        next += 1;
+    }
+}
+
+fn factory<C: SteppingChecker + 'static>(
+    make: impl Fn() -> C + Send + Sync + 'static,
+) -> SteppingFactory {
+    Arc::new(move |_object| Box::new(make()) as Box<dyn SteppingChecker>)
+}
+
+/// `Io` and `Lin` checkers over `spec`; no `View` — the right
+/// [`Scenario::checkers`] for structures that log no shared-variable
+/// writes, so there is nothing for a replayer to replay.
+fn spec_checkers<S: Spec + 'static>(
+    kind: CheckKind,
+    options: CheckerOptions,
+    spec: fn() -> S,
+) -> Option<SteppingFactory> {
     match kind {
-        CheckKind::Io => {
-            Some(Arc::new(move |_object| Box::new(Checker::io(make())) as Box<dyn SteppingChecker>))
-        }
-        CheckKind::Lin => Some(Arc::new(move |_object| {
-            Box::new(Checker::lin(make())) as Box<dyn SteppingChecker>
-        })),
+        CheckKind::Io => Some(factory(move || Checker::io(spec()).with_options(options.clone()))),
+        CheckKind::Lin => Some(factory(move || Checker::lin(spec()).with_options(options.clone()))),
         CheckKind::View => None,
     }
 }
 
-/// Generates the three `Scenario` checking methods from the scenario's
-/// specification / replayer constructors (plus optional invariants).
-macro_rules! impl_checks {
-    ($spec:expr, $replayer:expr $(, $inv:expr)* $(,)?) => {
-        fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_events(events),
-                CheckKind::Lin => Checker::lin($spec).check_events(events),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .check_events(events),
-            }
-        }
-
-        fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            let options = CheckerOptions {
-                stop_at_first_violation: false,
-                ..CheckerOptions::default()
-            };
-            match kind {
-                CheckKind::Io => Checker::io($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::Lin => Checker::lin($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .with_options(options)
-                    .check_events(events),
-            }
-        }
-
-        fn check_stream(
-            &self,
-            kind: CheckKind,
-            receiver: &vyrd_rt::channel::Receiver<Event>,
-        ) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_receiver(receiver),
-                CheckKind::Lin => Checker::lin($spec).check_receiver(receiver),
-                CheckKind::View => Checker::view($spec, $replayer)
-                    $(.with_invariant($inv))*
-                    .check_receiver(receiver),
-            }
-        }
-    };
+/// [`spec_checkers`] plus `View` checkers built by `view`, which names
+/// the scenario's replayer and invariants.
+fn view_checkers<S: Spec + 'static, R: Replayer + 'static>(
+    kind: CheckKind,
+    options: CheckerOptions,
+    spec: fn() -> S,
+    view: fn(S) -> Checker<S, R>,
+) -> Option<SteppingFactory> {
+    match kind {
+        CheckKind::View => Some(factory(move || view(spec()).with_options(options.clone()))),
+        _ => spec_checkers(kind, options, spec),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -191,6 +225,43 @@ macro_rules! impl_checks {
 /// The growable multiset with the Fig. 5 `FindSlot` bug.
 #[derive(Debug)]
 pub struct MultisetVectorScenario;
+
+impl MultisetVectorScenario {
+    fn step(h: &VectorMultisetHandle, wl: &mut ThreadWorkload, _call: usize) {
+        let op = wl.next_op(&[3, 2, 3, 2]);
+        let x = wl.next_key();
+        match op {
+            0 => {
+                h.insert(x);
+            }
+            1 => {
+                h.insert_pair(x, wl.next_key());
+            }
+            2 => {
+                h.delete(x);
+            }
+            _ => {
+                h.lookup(x);
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let fs = match variant {
+            Variant::Correct => FindSlotVariant::Correct,
+            Variant::Buggy => FindSlotVariant::Buggy,
+        };
+        let sets: Vec<VectorMultiset> = logs
+            .into_iter()
+            .map(|log| VectorMultiset::new(fs, log))
+            .collect();
+        let task = cfg.internal_task.then(|| {
+            let handles = sets.iter().map(VectorMultiset::handle).collect();
+            in_rotation(handles, VectorMultisetHandle::compress)
+        });
+        drive_calls(cfg, &sets, per_call, VectorMultiset::handle, Self::step, task);
+    }
+}
 
 impl Scenario for MultisetVectorScenario {
     fn name(&self) -> &'static str {
@@ -202,107 +273,18 @@ impl Scenario for MultisetVectorScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let fs = match variant {
-            Variant::Correct => FindSlotVariant::Correct,
-            Variant::Buggy => FindSlotVariant::Buggy,
-        };
-        let ms = VectorMultiset::new(fs, log.clone());
-        let task = cfg.internal_task.then(|| {
-            let h = ms.handle();
-            move || h.compress()
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = ms.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[3, 2, 3, 2]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.insert_pair(x, wl.next_key());
-                        }
-                        2 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(MultisetSpec::new(), SlotReplayer::new());
-
-    /// §8 multi-object mode: `objects` independent multisets, each
-    /// logging under its own [`ObjectId`]; every call picks an instance
-    /// from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let fs = match variant {
-            Variant::Correct => FindSlotVariant::Correct,
-            Variant::Buggy => FindSlotVariant::Buggy,
-        };
-        let sets: Vec<VectorMultiset> = (0..objects.max(1))
-            .map(|i| VectorMultiset::new(fs, log.with_object(ObjectId(i))))
-            .collect();
-        let task = cfg.internal_task.then(|| {
-            let handles: Vec<_> = sets.iter().map(|s| s.handle()).collect();
-            let mut next = 0usize;
-            move || {
-                handles[next % handles.len()].compress();
-                next += 1;
-            }
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = sets[wl.next_int(sets.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[3, 2, 3, 2]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.insert_pair(x, wl.next_key());
-                        }
-                        2 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(MultisetSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(MultisetSpec::new())),
-            CheckKind::View => Box::new(Checker::view(MultisetSpec::new(), SlotReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(Checker::view(MultisetSpec::new(), SlotReplayer::new()))
-                    as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, MultisetSpec::new),
-        }
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(kind, options, MultisetSpec::new, |spec| {
+            Checker::view(spec, SlotReplayer::new())
+        })
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -325,6 +307,40 @@ impl Scenario for MultisetVectorScenario {
 #[derive(Debug)]
 pub struct MultisetBstScenario;
 
+impl MultisetBstScenario {
+    fn step(h: &BstMultisetHandle, wl: &mut ThreadWorkload, _call: usize) {
+        let op = wl.next_op(&[5, 2, 3]);
+        let x = wl.next_key();
+        match op {
+            0 => {
+                h.insert(x);
+            }
+            1 => {
+                h.delete(x);
+            }
+            _ => {
+                h.lookup(x);
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => BstVariant::Correct,
+            Variant::Buggy => BstVariant::UnlockParentEarly,
+        };
+        let sets: Vec<BstMultiset> = logs
+            .into_iter()
+            .map(|log| BstMultiset::new(v, log))
+            .collect();
+        let task = cfg.internal_task.then(|| {
+            let handles = sets.iter().map(BstMultiset::handle).collect();
+            in_rotation(handles, BstMultisetHandle::compress)
+        });
+        drive_calls(cfg, &sets, per_call, BstMultiset::handle, Self::step, task);
+    }
+}
+
 impl Scenario for MultisetBstScenario {
     fn name(&self) -> &'static str {
         "Multiset-BinaryTree"
@@ -335,102 +351,18 @@ impl Scenario for MultisetBstScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => BstVariant::Correct,
-            Variant::Buggy => BstVariant::UnlockParentEarly,
-        };
-        let ms = BstMultiset::new(v, log.clone());
-        let task = cfg.internal_task.then(|| {
-            let h = ms.handle();
-            move || h.compress()
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = ms.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(MultisetSpec::new(), BstReplayer::new());
-
-    /// §8 multi-object mode: `objects` independent BST multisets, each
-    /// logging under its own [`ObjectId`]; every call picks an instance
-    /// from the workload stream. The compressor services the trees in
-    /// rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => BstVariant::Correct,
-            Variant::Buggy => BstVariant::UnlockParentEarly,
-        };
-        let sets: Vec<BstMultiset> = (0..objects.max(1))
-            .map(|i| BstMultiset::new(v, log.with_object(ObjectId(i))))
-            .collect();
-        let task = cfg.internal_task.then(|| {
-            let handles: Vec<_> = sets.iter().map(|s| s.handle()).collect();
-            let mut next = 0usize;
-            move || {
-                handles[next % handles.len()].compress();
-                next += 1;
-            }
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = sets[wl.next_int(sets.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let x = wl.next_key();
-                    match op {
-                        0 => {
-                            h.insert(x);
-                        }
-                        1 => {
-                            h.delete(x);
-                        }
-                        _ => {
-                            h.lookup(x);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(MultisetSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(MultisetSpec::new())),
-            CheckKind::View => Box::new(Checker::view(MultisetSpec::new(), BstReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(Checker::view(MultisetSpec::new(), BstReplayer::new()))
-                    as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, MultisetSpec::new),
-        }
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(kind, options, MultisetSpec::new, |spec| {
+            Checker::view(spec, BstReplayer::new())
+        })
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -453,6 +385,41 @@ impl Scenario for MultisetBstScenario {
 #[derive(Debug)]
 pub struct JavaVectorScenario;
 
+impl JavaVectorScenario {
+    fn step(h: &SyncVectorHandle, wl: &mut ThreadWorkload, _call: usize) {
+        match wl.next_op(&[4, 3, 3, 1]) {
+            0 => h.add(wl.next_key()),
+            1 => {
+                h.remove_last();
+            }
+            2 => {
+                h.last_index_of(wl.next_key());
+            }
+            _ => {
+                h.size();
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => VectorVariant::Correct,
+            Variant::Buggy => VectorVariant::Buggy,
+        };
+        let vecs: Vec<SyncVector> = logs
+            .into_iter()
+            .map(|log| SyncVector::new(v, log))
+            .collect();
+        // Seed so early removeLast/lastIndexOf have content to race on.
+        let _seeders = seeded(&vecs, per_call, SyncVector::handle, |seeder| {
+            for i in 0..8 {
+                seeder.add(i);
+            }
+        });
+        drive_calls(cfg, &vecs, per_call, SyncVector::handle, Self::step, None::<fn()>);
+    }
+}
+
 impl Scenario for JavaVectorScenario {
     fn name(&self) -> &'static str {
         "Vector"
@@ -463,94 +430,18 @@ impl Scenario for JavaVectorScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => VectorVariant::Correct,
-            Variant::Buggy => VectorVariant::Buggy,
-        };
-        let vec = SyncVector::new(v, log.clone());
-        // Seed so early removeLast/lastIndexOf have content to race on.
-        let seeder = vec.handle();
-        for i in 0..8 {
-            seeder.add(i);
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = vec.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[4, 3, 3, 1]);
-                    match op {
-                        0 => h.add(wl.next_key()),
-                        1 => {
-                            h.remove_last();
-                        }
-                        2 => {
-                            h.last_index_of(wl.next_key());
-                        }
-                        _ => {
-                            h.size();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(VectorSpec::new(), VectorReplayer::new());
-
-    /// §8 multi-object mode: `objects` independent vectors, each seeded
-    /// and logging under its own [`ObjectId`]; every call picks an
-    /// instance from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => VectorVariant::Correct,
-            Variant::Buggy => VectorVariant::Buggy,
-        };
-        let vecs: Vec<SyncVector> = (0..objects.max(1))
-            .map(|i| SyncVector::new(v, log.with_object(ObjectId(i))))
-            .collect();
-        for vec in &vecs {
-            let seeder = vec.handle();
-            for i in 0..8 {
-                seeder.add(i);
-            }
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = vecs[wl.next_int(vecs.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[4, 3, 3, 1]);
-                    match op {
-                        0 => h.add(wl.next_key()),
-                        1 => {
-                            h.remove_last();
-                        }
-                        2 => {
-                            h.last_index_of(wl.next_key());
-                        }
-                        _ => {
-                            h.size();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(VectorSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(VectorSpec::new())),
-            CheckKind::View => Box::new(Checker::view(VectorSpec::new(), VectorReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, VectorSpec::new)
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(kind, options, VectorSpec::new, |spec| {
+            Checker::view(spec, VectorReplayer::new())
+        })
     }
 }
 
@@ -564,6 +455,40 @@ const SB_BUFFERS: usize = 4;
 #[derive(Debug)]
 pub struct StringBufferScenario;
 
+impl StringBufferScenario {
+    fn step(h: &BufferPoolHandle, wl: &mut ThreadWorkload, _call: usize) {
+        let op = wl.next_op(&[3, 4, 3, 1]);
+        let id = wl.next_int(SB_BUFFERS as i64);
+        match op {
+            0 => h.append(id, "ab"),
+            1 => {
+                h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
+            }
+            2 => h.set_length(id, wl.next_int(12) as usize),
+            _ => {
+                h.length(id);
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => StringBufferVariant::Correct,
+            Variant::Buggy => StringBufferVariant::Buggy,
+        };
+        let pools: Vec<BufferPool> = logs
+            .into_iter()
+            .map(|log| BufferPool::new(SB_BUFFERS, v, log))
+            .collect();
+        let _seeders = seeded(&pools, per_call, BufferPool::handle, |seeder| {
+            for id in 0..SB_BUFFERS as i64 {
+                seeder.append(id, "0123456789");
+            }
+        });
+        drive_calls(cfg, &pools, per_call, BufferPool::handle, Self::step, None::<fn()>);
+    }
+}
+
 impl Scenario for StringBufferScenario {
     fn name(&self) -> &'static str {
         "StringBuffer"
@@ -574,99 +499,21 @@ impl Scenario for StringBufferScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => StringBufferVariant::Correct,
-            Variant::Buggy => StringBufferVariant::Buggy,
-        };
-        let pool = BufferPool::new(SB_BUFFERS, v, log.clone());
-        let seeder = pool.handle();
-        for id in 0..SB_BUFFERS as i64 {
-            seeder.append(id, "0123456789");
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = pool.handle();
-                while ops.next().is_some() {
-                    let op = wl.next_op(&[3, 4, 3, 1]);
-                    let id = wl.next_int(SB_BUFFERS as i64);
-                    match op {
-                        0 => h.append(id, "ab"),
-                        1 => {
-                            h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
-                        }
-                        2 => h.set_length(id, wl.next_int(12) as usize),
-                        _ => {
-                            h.length(id);
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(
-        StringBufferSpec::new(SB_BUFFERS),
-        StringBufferReplayer::with_buffers(SB_BUFFERS),
-    );
-
-    /// §8 multi-object mode: `objects` independent buffer pools, each
-    /// seeded and logging under its own [`ObjectId`]; every call picks a
-    /// pool from the workload stream.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => StringBufferVariant::Correct,
-            Variant::Buggy => StringBufferVariant::Buggy,
-        };
-        let pools: Vec<BufferPool> = (0..objects.max(1))
-            .map(|i| BufferPool::new(SB_BUFFERS, v, log.with_object(ObjectId(i))))
-            .collect();
-        for pool in &pools {
-            let seeder = pool.handle();
-            for id in 0..SB_BUFFERS as i64 {
-                seeder.append(id, "0123456789");
-            }
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = pools[wl.next_int(pools.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[3, 4, 3, 1]);
-                    let id = wl.next_int(SB_BUFFERS as i64);
-                    match op {
-                        0 => h.append(id, "ab"),
-                        1 => {
-                            h.append_buffer(id, wl.next_int(SB_BUFFERS as i64));
-                        }
-                        2 => h.set_length(id, wl.next_int(12) as usize),
-                        _ => {
-                            h.length(id);
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => {
-                Box::new(Checker::io(StringBufferSpec::new(SB_BUFFERS))) as Box<dyn ObjectChecker>
-            }
-            CheckKind::Lin => Box::new(Checker::lin(StringBufferSpec::new(SB_BUFFERS))),
-            CheckKind::View => Box::new(Checker::view(
-                StringBufferSpec::new(SB_BUFFERS),
-                StringBufferReplayer::with_buffers(SB_BUFFERS),
-            )),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, || StringBufferSpec::new(SB_BUFFERS))
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(
+            kind,
+            options,
+            || StringBufferSpec::new(SB_BUFFERS),
+            |spec| Checker::view(spec, StringBufferReplayer::with_buffers(SB_BUFFERS)),
+        )
     }
 }
 
@@ -678,6 +525,38 @@ impl Scenario for StringBufferScenario {
 #[derive(Debug)]
 pub struct BLinkTreeScenario;
 
+impl BLinkTreeScenario {
+    fn step(h: &BLinkTreeHandle, wl: &mut ThreadWorkload, call: usize) {
+        let op = wl.next_op(&[5, 2, 3]);
+        let k = wl.next_key();
+        match op {
+            0 => h.insert(k, call as i64),
+            1 => {
+                h.delete(k);
+            }
+            _ => {
+                h.lookup(k);
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => BLinkVariant::Correct,
+            Variant::Buggy => BLinkVariant::DuplicateDataNodes,
+        };
+        let trees: Vec<BLinkTree> = logs
+            .into_iter()
+            .map(|log| BLinkTree::new(v, log))
+            .collect();
+        let task = cfg.internal_task.then(|| {
+            let handles = trees.iter().map(BLinkTree::handle).collect();
+            in_rotation(handles, BLinkTreeHandle::compress)
+        });
+        drive_calls(cfg, &trees, per_call, BLinkTree::handle, Self::step, task);
+    }
+}
+
 impl Scenario for BLinkTreeScenario {
     fn name(&self) -> &'static str {
         "BLinkTree"
@@ -688,91 +567,18 @@ impl Scenario for BLinkTreeScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => BLinkVariant::Correct,
-            Variant::Buggy => BLinkVariant::DuplicateDataNodes,
-        };
-        let tree = BLinkTree::new(v, log.clone());
-        let task = cfg.internal_task.then(|| {
-            let h = tree.handle();
-            move || h.compress()
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = tree.handle();
-                for i in ops.by_ref() {
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let k = wl.next_key();
-                    match op {
-                        0 => h.insert(k, i as i64),
-                        1 => {
-                            h.delete(k);
-                        }
-                        _ => {
-                            h.lookup(k);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(BLinkSpec::new(), BLinkReplayer::new());
-
-    /// §8 multi-object mode: `objects` independent trees, each logging
-    /// under its own [`ObjectId`]; every call picks a tree from the
-    /// workload stream. The compressor services the trees in rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => BLinkVariant::Correct,
-            Variant::Buggy => BLinkVariant::DuplicateDataNodes,
-        };
-        let trees: Vec<BLinkTree> = (0..objects.max(1))
-            .map(|i| BLinkTree::new(v, log.with_object(ObjectId(i))))
-            .collect();
-        let task = cfg.internal_task.then(|| {
-            let handles: Vec<_> = trees.iter().map(|t| t.handle()).collect();
-            let mut next = 0usize;
-            move || {
-                handles[next % handles.len()].compress();
-                next += 1;
-            }
-        });
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                for i in ops.by_ref() {
-                    let h = trees[wl.next_int(trees.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[5, 2, 3]);
-                    let k = wl.next_key();
-                    match op {
-                        0 => h.insert(k, i as i64),
-                        1 => {
-                            h.delete(k);
-                        }
-                        _ => {
-                            h.lookup(k);
-                        }
-                    }
-                }
-            },
-            task,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(BLinkSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(BLinkSpec::new())),
-            CheckKind::View => Box::new(Checker::view(BLinkSpec::new(), BLinkReplayer::new())),
-        }))
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, BLinkSpec::new)
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(kind, options, BLinkSpec::new, |spec| {
+            Checker::view(spec, BLinkReplayer::new())
+        })
     }
 }
 
@@ -787,6 +593,39 @@ const CACHE_BUF: usize = 64;
 #[derive(Debug)]
 pub struct CacheScenario;
 
+impl CacheScenario {
+    fn step(h: &BoxCacheHandle, wl: &mut ThreadWorkload, call: usize) {
+        let op = wl.next_op(&[6, 3, 1]);
+        let handle = wl.next_int(CACHE_HANDLES);
+        match op {
+            0 => h.write(handle, vec![(call % 251) as u8; CACHE_BUF]),
+            1 => {
+                h.read(handle);
+            }
+            _ => h.revoke(handle),
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => CacheVariant::Correct,
+            Variant::Buggy => CacheVariant::Buggy,
+        };
+        // One cache (over its own chunk group) per log.
+        let caches: Vec<BoxCache> = logs
+            .into_iter()
+            .map(|log| BoxCache::new(ChunkManager::new(), v, log))
+            .collect();
+        // The flusher plays the internal-task role; without it the bug
+        // cannot manifest, so it always runs.
+        let flusher = in_rotation(
+            caches.iter().map(BoxCache::handle).collect(),
+            BoxCacheHandle::flush,
+        );
+        drive_calls(cfg, &caches, per_call, BoxCache::handle, Self::step, Some(flusher));
+    }
+}
+
 impl Scenario for CacheScenario {
     fn name(&self) -> &'static str {
         "Cache"
@@ -797,109 +636,20 @@ impl Scenario for CacheScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => CacheVariant::Correct,
-            Variant::Buggy => CacheVariant::Buggy,
-        };
-        let cache = BoxCache::new(ChunkManager::new(), v, log.clone());
-        // The flusher plays the internal-task role; without it the bug
-        // cannot manifest, so it always runs.
-        let flusher = {
-            let h = cache.handle();
-            move || h.flush()
-        };
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = cache.handle();
-                for i in ops.by_ref() {
-                    let op = wl.next_op(&[6, 3, 1]);
-                    let handle = wl.next_int(CACHE_HANDLES);
-                    match op {
-                        0 => h.write(handle, vec![(i % 251) as u8; CACHE_BUF]),
-                        1 => {
-                            h.read(handle);
-                        }
-                        _ => h.revoke(handle),
-                    }
-                }
-            },
-            Some(flusher),
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_checks!(
-        StoreSpec::new(),
-        CacheReplayer::new(),
-        clean_matches_chunk(),
-        entry_in_exactly_one_list(),
-    );
-
-    /// §8 multi-object mode: one cache (over its own chunk group) per
-    /// object; each call picks a cache from the workload stream. The
-    /// flusher services every cache in rotation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => CacheVariant::Correct,
-            Variant::Buggy => CacheVariant::Buggy,
-        };
-        let caches: Vec<BoxCache> = (0..objects.max(1))
-            .map(|i| BoxCache::new(ChunkManager::new(), v, log.with_object(ObjectId(i))))
-            .collect();
-        let flusher = {
-            let handles: Vec<_> = caches.iter().map(|c| c.handle()).collect();
-            let mut next = 0usize;
-            move || {
-                handles[next % handles.len()].flush();
-                next += 1;
-            }
-        };
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                for i in ops.by_ref() {
-                    let h = caches[wl.next_int(caches.len() as i64) as usize].handle();
-                    let op = wl.next_op(&[6, 3, 1]);
-                    let handle = wl.next_int(CACHE_HANDLES);
-                    match op {
-                        0 => h.write(handle, vec![(i % 251) as u8; CACHE_BUF]),
-                        1 => {
-                            h.read(handle);
-                        }
-                        _ => h.revoke(handle),
-                    }
-                }
-            },
-            Some(flusher),
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        Some(Arc::new(move |_object| match kind {
-            CheckKind::Io => Box::new(Checker::io(StoreSpec::new())) as Box<dyn ObjectChecker>,
-            CheckKind::Lin => Box::new(Checker::lin(StoreSpec::new())),
-            CheckKind::View => Box::new(
-                Checker::view(StoreSpec::new(), CacheReplayer::new())
-                    .with_invariant(clean_matches_chunk())
-                    .with_invariant(entry_in_exactly_one_list()),
-            ),
-        }))
-    }
-
-    /// The cache replayer is checkpointable, so this scenario supports
-    /// continuous *view* refinement alongside I/O and Lin.
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        match kind {
-            CheckKind::View => Some(Arc::new(|_object| {
-                Box::new(
-                    Checker::view(StoreSpec::new(), CacheReplayer::new())
-                        .with_invariant(clean_matches_chunk())
-                        .with_invariant(entry_in_exactly_one_list()),
-                ) as Box<dyn SteppingChecker>
-            })),
-            _ => spec_stepping(kind, StoreSpec::new),
-        }
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        view_checkers(kind, options, StoreSpec::new, |spec| {
+            Checker::view(spec, CacheReplayer::new())
+                .with_invariant(clean_matches_chunk())
+                .with_invariant(entry_in_exactly_one_list())
+        })
     }
 }
 
@@ -908,60 +658,6 @@ impl Scenario for CacheScenario {
 // ---------------------------------------------------------------------
 
 const LF_CAPACITY: usize = 64;
-
-/// `check`/`check_full`/`check_stream` for the spec-only (lock-free)
-/// scenarios: `Io` and `Lin` over the spec, `View` refused with
-/// [`unsupported_report`] — these structures log no shared-variable
-/// writes, so there is nothing for a replayer to replay.
-macro_rules! impl_spec_checks {
-    ($spec:expr) => {
-        fn check(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_events(events),
-                CheckKind::Lin => Checker::lin($spec).check_events(events),
-                CheckKind::View => unsupported_report(self.name(), kind),
-            }
-        }
-
-        fn check_full(&self, kind: CheckKind, events: Vec<Event>) -> Report {
-            let options = CheckerOptions {
-                stop_at_first_violation: false,
-                ..CheckerOptions::default()
-            };
-            match kind {
-                CheckKind::Io => Checker::io($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::Lin => Checker::lin($spec)
-                    .with_options(options)
-                    .check_events(events),
-                CheckKind::View => unsupported_report(self.name(), kind),
-            }
-        }
-
-        fn check_stream(
-            &self,
-            kind: CheckKind,
-            receiver: &vyrd_rt::channel::Receiver<Event>,
-        ) -> Report {
-            match kind {
-                CheckKind::Io => Checker::io($spec).check_receiver(receiver),
-                CheckKind::Lin => Checker::lin($spec).check_receiver(receiver),
-                CheckKind::View => {
-                    // Drain the stream so the producer side never blocks
-                    // on an abandoned channel before reporting the
-                    // configuration error.
-                    while receiver.recv().is_ok() {}
-                    unsupported_report(self.name(), kind)
-                }
-            }
-        }
-
-        fn supports(&self, kind: CheckKind) -> bool {
-            kind != CheckKind::View
-        }
-    };
-}
 
 /// Parks a victim `Pop` inside its ABA window and recycles the node it
 /// read underneath it: pop both elements, push two fresh values — the
@@ -1001,6 +697,39 @@ fn aba_prologue(stack: &TreiberStack) {
 #[derive(Debug)]
 pub struct TreiberStackScenario;
 
+impl TreiberStackScenario {
+    fn step(h: &TreiberStackHandle, wl: &mut ThreadWorkload, _call: usize) {
+        match wl.next_op(&[4, 3, 3]) {
+            0 => {
+                h.push(wl.next_key());
+            }
+            1 => {
+                h.pop();
+            }
+            _ => {
+                h.peek();
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => StackVariant::Correct,
+            Variant::Buggy => StackVariant::AbaPop,
+        };
+        let stacks: Vec<TreiberStack> = logs
+            .into_iter()
+            .map(|log| TreiberStack::new(v, LF_CAPACITY, log))
+            .collect();
+        // On the first object only, so exactly one shard carries the
+        // seeded violation.
+        if variant == Variant::Buggy {
+            aba_prologue(&stacks[0]);
+        }
+        drive_calls(cfg, &stacks, per_call, TreiberStack::handle, Self::step, None::<fn()>);
+    }
+}
+
 impl Scenario for TreiberStackScenario {
     fn name(&self) -> &'static str {
         "Treiber-Stack"
@@ -1011,89 +740,16 @@ impl Scenario for TreiberStackScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => StackVariant::Correct,
-            Variant::Buggy => StackVariant::AbaPop,
-        };
-        let stack = TreiberStack::new(v, LF_CAPACITY, log.clone());
-        if variant == Variant::Buggy {
-            aba_prologue(&stack);
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = stack.handle();
-                while ops.next().is_some() {
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.push(wl.next_key());
-                        }
-                        1 => {
-                            h.pop();
-                        }
-                        _ => {
-                            h.peek();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_spec_checks!(StackSpec::new());
-
-    /// §8 multi-object mode: one stack per object; the buggy prologue
-    /// runs on object 0 only, so exactly one shard carries the seeded
-    /// violation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => StackVariant::Correct,
-            Variant::Buggy => StackVariant::AbaPop,
-        };
-        let stacks: Vec<TreiberStack> = (0..objects.max(1))
-            .map(|i| TreiberStack::new(v, LF_CAPACITY, log.with_object(ObjectId(i))))
-            .collect();
-        if variant == Variant::Buggy {
-            aba_prologue(&stacks[0]);
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = stacks[wl.next_int(stacks.len() as i64) as usize].handle();
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.push(wl.next_key());
-                        }
-                        1 => {
-                            h.pop();
-                        }
-                        _ => {
-                            h.peek();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        match kind {
-            CheckKind::Io => Some(Arc::new(|_object| {
-                Box::new(Checker::io(StackSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::Lin => Some(Arc::new(|_object| {
-                Box::new(Checker::lin(StackSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::View => None,
-        }
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, StackSpec::new)
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        spec_checkers(kind, options, StackSpec::new)
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {
@@ -1141,6 +797,39 @@ fn tail_swing_prologue(queue: &MsQueue) {
 #[derive(Debug)]
 pub struct MsQueueScenario;
 
+impl MsQueueScenario {
+    fn step(h: &MsQueueHandle, wl: &mut ThreadWorkload, _call: usize) {
+        match wl.next_op(&[4, 3, 3]) {
+            0 => {
+                h.enqueue(wl.next_key());
+            }
+            1 => {
+                h.dequeue();
+            }
+            _ => {
+                h.front();
+            }
+        }
+    }
+
+    fn workload(cfg: &WorkloadConfig, logs: Vec<EventLog>, variant: Variant, per_call: bool) {
+        let v = match variant {
+            Variant::Correct => QueueVariant::Correct,
+            Variant::Buggy => QueueVariant::EarlyTailSwing,
+        };
+        let queues: Vec<MsQueue> = logs
+            .into_iter()
+            .map(|log| MsQueue::new(v, LF_CAPACITY, log))
+            .collect();
+        // On the first object only, so exactly one shard carries the
+        // seeded violation.
+        if variant == Variant::Buggy {
+            tail_swing_prologue(&queues[0]);
+        }
+        drive_calls(cfg, &queues, per_call, MsQueue::handle, Self::step, None::<fn()>);
+    }
+}
+
 impl Scenario for MsQueueScenario {
     fn name(&self) -> &'static str {
         "MS-Queue"
@@ -1151,89 +840,16 @@ impl Scenario for MsQueueScenario {
     }
 
     fn run(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant) {
-        let v = match variant {
-            Variant::Correct => QueueVariant::Correct,
-            Variant::Buggy => QueueVariant::EarlyTailSwing,
-        };
-        let queue = MsQueue::new(v, LF_CAPACITY, log.clone());
-        if variant == Variant::Buggy {
-            tail_swing_prologue(&queue);
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                let h = queue.handle();
-                while ops.next().is_some() {
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.enqueue(wl.next_key());
-                        }
-                        1 => {
-                            h.dequeue();
-                        }
-                        _ => {
-                            h.front();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, vec![log.clone()], variant, false);
     }
 
-    impl_spec_checks!(QueueSpec::new());
-
-    /// §8 multi-object mode: one queue per object; the buggy prologue
-    /// runs on object 0 only, so exactly one shard carries the seeded
-    /// violation.
     fn run_multi(&self, cfg: &WorkloadConfig, log: &EventLog, variant: Variant, objects: u32) -> bool {
-        let v = match variant {
-            Variant::Correct => QueueVariant::Correct,
-            Variant::Buggy => QueueVariant::EarlyTailSwing,
-        };
-        let queues: Vec<MsQueue> = (0..objects.max(1))
-            .map(|i| MsQueue::new(v, LF_CAPACITY, log.with_object(ObjectId(i))))
-            .collect();
-        if variant == Variant::Buggy {
-            tail_swing_prologue(&queues[0]);
-        }
-        drive(
-            cfg,
-            |_, mut wl, mut ops| {
-                while ops.next().is_some() {
-                    let h = queues[wl.next_int(queues.len() as i64) as usize].handle();
-                    match wl.next_op(&[4, 3, 3]) {
-                        0 => {
-                            h.enqueue(wl.next_key());
-                        }
-                        1 => {
-                            h.dequeue();
-                        }
-                        _ => {
-                            h.front();
-                        }
-                    }
-                }
-            },
-            None::<fn()>,
-        );
+        Self::workload(cfg, object_logs(log, objects), variant, true);
         true
     }
 
-    fn shard_factory(&self, kind: CheckKind) -> Option<ShardFactory> {
-        match kind {
-            CheckKind::Io => Some(Arc::new(|_object| {
-                Box::new(Checker::io(QueueSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::Lin => Some(Arc::new(|_object| {
-                Box::new(Checker::lin(QueueSpec::new())) as Box<dyn ObjectChecker>
-            })),
-            CheckKind::View => None,
-        }
-    }
-
-    fn stepping_factory(&self, kind: CheckKind) -> Option<SteppingFactory> {
-        spec_stepping(kind, QueueSpec::new)
+    fn checkers(&self, kind: CheckKind, options: CheckerOptions) -> Option<SteppingFactory> {
+        spec_checkers(kind, options, QueueSpec::new)
     }
 
     fn minimizer(&self, _kind: CheckKind) -> Box<dyn Minimizer> {

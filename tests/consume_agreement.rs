@@ -122,7 +122,7 @@ fn batched_consume_agrees_with_per_event_baseline() {
     let mut seeds = Rng::seed_from_u64(base_seed());
     for scenario in scenarios::all() {
         for kind in [CheckKind::Io, CheckKind::View, CheckKind::Lin] {
-            if scenario.shard_factory(kind).is_none() || !scenario.supports(kind) {
+            if !scenario.supports(kind) {
                 continue;
             }
             for variant in [Variant::Correct, Variant::Buggy] {
