@@ -1,29 +1,44 @@
 //! # vyrd-bench — experiment drivers for the paper's evaluation (§7)
 //!
-//! Three binaries regenerate the tables:
+//! One binary, `vyrd`, with one subcommand per experiment (`vyrd help`
+//! prints the whole reference; [`cli`] holds the flag table it is
+//! generated from):
 //!
-//! * `table1` — time to detection of error (I/O vs view refinement);
-//! * `table2` — overhead of logging (program alone vs I/O-level vs
-//!   view-level logging);
-//! * `table3` — running-time breakdown (program alone / +logging /
-//!   +logging+online VYRD / offline VYRD alone).
+//! * `vyrd table 1|2|3` — the paper's tables: time to detection of error
+//!   (I/O vs view refinement), overhead of logging, running-time
+//!   breakdown (program alone / +logging / +online VYRD / offline VYRD).
+//!   Each prints the measured values next to the paper's reported
+//!   numbers; the *shape* (orderings, rough factors) is the reproduction
+//!   target, not the absolute 2005-era CPU seconds;
+//! * `vyrd stats` — metrics export and pinned-seed fault reconciliation;
+//! * `vyrd continuous produce|resume|single` — the durable segmented log
+//!   with its checkpointed verifier, built to be killed and resumed;
+//! * `vyrd soak` — open-loop load past saturation with adaptive shedding;
+//! * `vyrd witness` — minimized, explained counterexamples.
 //!
-//! Run them with `cargo run --release -p vyrd-bench --bin tableN`. Each
-//! prints the measured values next to the paper's reported numbers; the
-//! *shape* (orderings, rough factors) is the reproduction target, not the
-//! absolute 2005-era CPU seconds.
-//!
-//! The Criterion benches (`cargo bench -p vyrd-bench`) cover the
-//! microbenchmark side: per-event logging cost by mode, offline checking
-//! cost (I/O vs view, incremental vs full view comparison — the §6.4
-//! ablation), and codec throughput.
+//! The microbenchmarks (`cargo bench -p vyrd-bench`) are plain
+//! `harness = false` programs on `vyrd_rt::bench`: per-event logging cost
+//! by mode, offline checking cost (I/O vs view, incremental vs full view
+//! comparison — the §6.4 ablation), codec, shard and consume-path
+//! throughput.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::io;
 use std::path::PathBuf;
 
+use vyrd_core::witness::Counterexample;
+use vyrd_harness::scenario::CheckKind;
 use vyrd_harness::workload::WorkloadConfig;
+
+pub mod cli;
+mod continuous;
+mod ledger;
+mod soak;
+mod stats;
+mod table;
+mod witness;
 
 /// The repository's canonical directory for measurement artifacts
 /// (`results/` at the workspace root). Every bench and exporter writes its
@@ -46,6 +61,18 @@ pub fn results_dir() -> PathBuf {
     } else {
         PathBuf::from(".")
     }
+}
+
+/// Writes one artifact into [`results_dir`], reporting the path — or the
+/// failure — on stderr. Returns whether it was written.
+pub(crate) fn write_result(file: &str, contents: &str) -> bool {
+    let path = results_dir().join(file);
+    let written = std::fs::write(&path, contents);
+    match &written {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    }
+    written.is_ok()
 }
 
 /// Paper-reported numbers for Table 1: per scenario, the thread counts
@@ -153,42 +180,24 @@ pub fn table_config(scenario: &str, threads: usize, seed: u64) -> WorkloadConfig
     }
 }
 
-/// Shared CLI handling: `--quick` shrinks repetition counts so the
-/// binaries finish in seconds; `--seed N` reseeds the workloads.
-#[derive(Clone, Copy, Debug)]
-pub struct BenchArgs {
-    /// Reduced repetitions / sizes.
-    pub quick: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl BenchArgs {
-    /// Parses from `std::env::args`.
-    pub fn parse() -> BenchArgs {
-        let mut args = BenchArgs {
-            quick: false,
-            seed: 0xC0FFEE,
-        };
-        let mut iter = std::env::args().skip(1);
-        while let Some(a) = iter.next() {
-            match a.as_str() {
-                "--quick" => args.quick = true,
-                "--seed" => match iter.next().map(|s| s.parse::<u64>()) {
-                    Some(Ok(seed)) => args.seed = seed,
-                    Some(Err(_)) | None => {
-                        eprintln!("--seed takes an integer, e.g. --seed 42");
-                        std::process::exit(2);
-                    }
-                },
-                other => {
-                    eprintln!("unknown argument {other:?} (supported: --quick, --seed N)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        args
-    }
+/// The one way a counterexample leaves the process: prints its one-page
+/// explanation, writes `results/WITNESS_<scenario>.json`, and prints the
+/// `witness …` summary line (`key=value` tokens, so scripts parse it with
+/// `split_whitespace` alone). Fails when the artifact cannot be written.
+pub(crate) fn emit_witness(cx: &Counterexample, kind: CheckKind) -> io::Result<()> {
+    println!("{}", cx.explanation);
+    let path = cx.write_json(&results_dir())?;
+    println!(
+        "witness scenario={} kind={kind:?} category={} events_in={} events_out={} oracle_runs={} path={}",
+        cx.scenario,
+        cx.category,
+        cx.original_events,
+        cx.events.len(),
+        cx.oracle_runs,
+        path.display()
+    );
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]

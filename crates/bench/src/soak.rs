@@ -1,0 +1,498 @@
+//! `vyrd soak` — the open-loop soak harness with adaptive overload control.
+//!
+//! Unlike the closed-loop table drivers (which issue the next call only
+//! after the previous one returns, so offered load self-throttles to
+//! whatever the pipeline sustains), this subcommand offers load on a *fixed
+//! arrival schedule*: `--rate` calls per second for `--duration`
+//! seconds, released by [`OpBudget`]'s pacer whether or not the verifier
+//! keeps up. Queue depth is therefore allowed to grow — which is the
+//! point. Past saturation the adaptive controller
+//! ([`vyrd_core::AdaptiveShed`]) must tighten admission, shed with exact
+//! accounting, and converge to a bounded-lag DEGRADED PASS — never an
+//! unbounded queue, a deadlock, or a forged verdict.
+//!
+//! Two modes:
+//!
+//! * **Soak** (default): one scenario (or `--scenario all`) driven
+//!   through the adaptive sharded pipeline at the offered rate. Prints
+//!   offered vs sustained throughput and the p50/p95/p99/p99.9
+//!   call→commit and call→return latencies from the span ring, and
+//!   writes `results/SOAK_<scenario>.json`.
+//! * **Smoke** (`--smoke`): a pinned-seed, seconds-long saturation run
+//!   for CI. A `pool.check` delay failpoint stalls one shard
+//!   deterministically while the pacer keeps offering load, forcing the
+//!   controller through its shed/decrease/recover cycle. Writes
+//!   `results/SOAK_smoke.json` and exits non-zero unless the metrics
+//!   registry, the [`Degradation`] ledger, and the log's own counters
+//!   reconcile exactly — and unless the correct variant stays
+//!   non-FAIL while the buggy variant stays non-PASS.
+//!
+//! With `--witness`, a FAIL verdict additionally produces a minimized,
+//! explained counterexample (`results/WITNESS_<scenario>.json`) — built
+//! from a reconstructed closed-loop trace of the same seeded bug, since
+//! the streaming pipeline retains no events.
+//!
+//! [`OpBudget`]: vyrd_harness::workload::OpBudget
+//! [`Degradation`]: vyrd_core::violation::Degradation
+
+use std::fmt::Write as _;
+use std::process::ExitCode;
+use std::time::Duration;
+
+use vyrd_core::pool::SupervisorConfig;
+use vyrd_core::violation::Verdict;
+use vyrd_core::AdaptiveConfig;
+use vyrd_harness::scenario::{
+    reconstruct_witness, run_soak, CheckKind, Scenario, SoakArtifacts, Variant,
+};
+use vyrd_harness::scenarios;
+use vyrd_harness::workload::{PaceConfig, WorkloadConfig};
+use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
+
+use crate::cli::{
+    self, Args, CAPACITY, DURATION, KIND, OBJECTS, RATE, SCENARIO, SEED, SMOKE, THREADS, VARIANT,
+    WITNESS, WORKERS,
+};
+use crate::ledger::{all_agree, checks_json, holds, json_lines, metered, overload_checks, Check};
+use crate::{emit_witness, write_result};
+
+pub(crate) fn run(args: &Args) -> ExitCode {
+    if args.given(&SMOKE) {
+        return smoke(args.get(&SEED));
+    }
+    let variant = args.get(&VARIANT);
+    let scenarios = if args.get::<String>(&SCENARIO) == "all" {
+        scenarios::all()
+            .into_iter()
+            .chain(scenarios::lockfree())
+            .collect()
+    } else {
+        let Some(scenario) = args.scenario() else {
+            return ExitCode::from(2);
+        };
+        vec![scenario]
+    };
+    let mut ok = true;
+    for scenario in scenarios {
+        let name = scenario.name();
+        // Lock-free structures log no shared-variable writes, so view
+        // refinement is impossible there; fall back to I/O checking.
+        let kind = Some(args.get(&KIND))
+            .filter(|k| scenario.supports(*k))
+            .unwrap_or(CheckKind::Io);
+        match soak_once(scenario.as_ref(), kind, variant, args, None) {
+            Some(outcome) => {
+                print_outcome(&outcome);
+                let file = format!("SOAK_{}.json", file_stem(name));
+                ok &= write_result(&file, &outcome.to_json());
+                if args.given(&WITNESS) && outcome.verdict == Verdict::Fail {
+                    ok &= write_witness(scenario.as_ref(), kind, variant, args);
+                }
+                ok &= outcome.reconciled();
+            }
+            None => {
+                eprintln!("soak: {name} has no multi-object mode for {kind:?}");
+                ok = false;
+            }
+        }
+    }
+    if !ok {
+        eprintln!("soak: FAILED (reconciliation drift or unsupported scenario)");
+    }
+    ExitCode::from(u8::from(!ok))
+}
+
+/// Minimizes + explains a soak FAIL. The open-loop pipeline streams
+/// events into the sharded checkers and retains nothing, so the witness
+/// is built from a *reconstructed* closed-loop recording of the same
+/// seeded bug (see [`reconstruct_witness`]) — a clean, fully covered
+/// trace, never the degraded streaming run.
+fn write_witness(scenario: &dyn Scenario, kind: CheckKind, variant: Variant, load: &Args) -> bool {
+    // The reprise closes the loop itself: it drops the pace and runs a
+    // bounded number of calls per thread.
+    let emitted = reconstruct_witness(scenario, kind, variant, &workload(load), 60)
+        .and_then(|cx| emit_witness(&cx, kind).map_err(|e| format!("cannot write witness: {e}")));
+    if let Err(e) = &emitted {
+        eprintln!("soak: {e}");
+    }
+    emitted.is_ok()
+}
+
+/// The open-loop workload a `vyrd soak` command line offers.
+fn workload(load: &Args) -> WorkloadConfig {
+    WorkloadConfig {
+        threads: load.get(&THREADS),
+        calls_per_thread: 0, // ignored: pace drives the budget
+        key_pool: 8,
+        shrink_pool: true,
+        internal_task: true,
+        seed: load.get(&SEED),
+        pace: Some(PaceConfig {
+            rate_per_sec: load.get(&RATE),
+            duration: Duration::from_secs_f64(load.get(&DURATION)),
+        }),
+    }
+}
+
+/// One soak run's complete accounting: throughput, tail latency, the
+/// degradation ledger's view, the metrics registry's view, and the
+/// reconciliation checks tying the two together.
+struct Outcome {
+    scenario: String,
+    kind: CheckKind,
+    variant: Variant,
+    offered_rate: u64,
+    duration_s: f64,
+    wall_s: f64,
+    calls: u64,
+    sustained_rate: f64,
+    /// `(name, p50, p95, p99, p999)` per span latency histogram, ns.
+    latencies: Vec<(String, u64, u64, u64, u64)>,
+    /// The run's counters, in artifact order: the registry's view of the
+    /// pipeline (`appended` … `watchdog_quarantines`) with the ledger's
+    /// `stranded` and `unreliable_violations` among them.
+    counters: Vec<(&'static str, u64)>,
+    shed_windows: Vec<String>,
+    verdict: Verdict,
+    checks: Vec<Check>,
+}
+
+impl Outcome {
+    fn reconciled(&self) -> bool {
+        all_agree(&self.checks)
+    }
+
+    /// One of [`Outcome::counters`], by its artifact key.
+    fn n(&self, key: &str) -> u64 {
+        let found = self.counters.iter().find(|(k, _)| *k == key);
+        found
+            .unwrap_or_else(|| panic!("soak records no {key} counter"))
+            .1
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.scenario);
+        let _ = writeln!(out, "  \"kind\": \"{:?}\",", self.kind);
+        let _ = writeln!(out, "  \"variant\": \"{:?}\",", self.variant);
+        let _ = writeln!(out, "  \"offered_rate_per_s\": {},", self.offered_rate);
+        let _ = writeln!(out, "  \"duration_s\": {:.3},", self.duration_s);
+        let _ = writeln!(out, "  \"wall_s\": {:.3},", self.wall_s);
+        let _ = writeln!(out, "  \"calls\": {},", self.calls);
+        let _ = writeln!(out, "  \"sustained_rate_per_s\": {:.1},", self.sustained_rate);
+        let _ = writeln!(out, "  \"latencies_ns\": [");
+        let latencies = self.latencies.iter().map(|(name, p50, p95, p99, p999)| {
+            format!(
+                "{{\"name\": \"{name}\", \"p50\": {p50}, \"p95\": {p95}, \
+                 \"p99\": {p99}, \"p999\": {p999}}}"
+            )
+        });
+        out += &json_lines(latencies, 4);
+        let _ = writeln!(out, "  ],");
+        for (key, n) in &self.counters {
+            let _ = writeln!(out, "  \"{key}\": {n},");
+        }
+        let _ = writeln!(out, "  \"shed_windows\": [");
+        out += &json_lines(self.shed_windows.iter().map(|w| format!("\"{w}\"")), 4);
+        let _ = writeln!(out, "  ],");
+        let _ = writeln!(out, "  \"verdict\": \"{}\",", self.verdict);
+        let _ = writeln!(out, "  \"reconciled\": {},", self.reconciled());
+        let _ = writeln!(out, "  \"checks\": [");
+        out.push_str(&checks_json(&self.checks, 4));
+        let _ = writeln!(out, "  ]");
+        out.push('}');
+        out.push('\n');
+        out
+    }
+}
+
+/// Drives one scenario through the adaptive pipeline at the offered
+/// rate, with counters and spans live, and reconciles every counter the
+/// ledger and the registry share. `load` is a `vyrd soak` command line
+/// (rate, duration, objects, workers, capacity, threads, seed);
+/// `adaptive` overrides the derived controller config (the smoke uses a
+/// deliberately tiny one).
+fn soak_once(
+    scenario: &dyn Scenario,
+    kind: CheckKind,
+    variant: Variant,
+    load: &Args,
+    adaptive: Option<AdaptiveConfig>,
+) -> Option<Outcome> {
+    let adaptive = adaptive
+        .unwrap_or_else(|| AdaptiveConfig::for_pool(load.get(&CAPACITY), load.get(&OBJECTS)));
+    let (artifacts, snap) = metered(true, || {
+        run_soak(
+            scenario,
+            &workload(load),
+            kind,
+            variant,
+            load.get(&OBJECTS),
+            load.get(&WORKERS),
+            adaptive,
+            SupervisorConfig::default(),
+        )
+    });
+    let SoakArtifacts {
+        wall,
+        report,
+        log_stats,
+    } = artifacts?;
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let g = |name: &str| snap.gauge(name).unwrap_or(0);
+    let d = &report.merged.degradation;
+    if std::env::var_os("SOAK_DEBUG").is_some() {
+        for (object, r) in &report.per_object {
+            eprintln!(
+                "DEBUG obj{}: fanout={} stats.events={} violation={}",
+                object.0,
+                c(&format!("shard.fanout.obj{}", object.0)),
+                r.stats.events,
+                r.violation.is_some(),
+            );
+            if let Some(v) = &r.violation {
+                eprintln!("DEBUG obj{} violation @{}: {v}", object.0, v.log_position());
+            }
+        }
+    }
+
+    let latencies = ["span.call_to_commit_ns", "span.call_to_return_ns"]
+        .iter()
+        .filter_map(|name| {
+            snap.histogram(name)
+                .map(|h| (name.to_string(), h.p50, h.p95, h.p99, h.p999))
+        })
+        .collect();
+
+    let wall_s = wall.as_secs_f64();
+    let mut checks = overload_checks(d, &snap, log_stats.events);
+    let checked = c("pool.events_checked");
+    checks.insert(
+        3,
+        (
+            "checked vs merged report stats",
+            checked,
+            report.merged.stats.events,
+        ),
+    );
+    // Bounded lag: the queues' high-water mark never exceeded the
+    // pipeline's total buffer space — overload shed instead of queuing
+    // without bound.
+    checks.push(holds(
+        "occupancy peak within buffer space",
+        g("overload.occupancy_peak") <= adaptive.capacity as u64,
+    ));
+
+    Some(Outcome {
+        scenario: scenario.name().to_string(),
+        kind,
+        variant,
+        offered_rate: load.get(&RATE),
+        duration_s: load.get(&DURATION),
+        wall_s,
+        calls: log_stats.calls,
+        sustained_rate: if wall_s > 0.0 {
+            log_stats.calls as f64 / wall_s
+        } else {
+            0.0
+        },
+        latencies,
+        counters: vec![
+            ("appended", c("log.events_appended")),
+            ("routed", c("shard.events_routed")),
+            ("checked", checked),
+            ("shed", c("shard.events_shed")),
+            ("shed_timeout", c("shard.sheds_timeout")),
+            ("shed_abandoned", c("shard.sheds_abandoned")),
+            ("shed_injected", c("shard.sheds_injected")),
+            ("stranded", d.stranded_events),
+            ("unreliable_violations", d.unreliable_violations),
+            ("lag_peak", g("overload.lag_peak")),
+            ("occupancy_peak", g("overload.occupancy_peak")),
+            ("decisions_decrease", c("overload.decisions_decrease")),
+            ("decisions_recover", c("overload.decisions_recover")),
+            ("watchdog_rescues", c("overload.watchdog_rescues")),
+            ("watchdog_quarantines", c("overload.watchdog_quarantines")),
+        ],
+        shed_windows: d.shed_windows.iter().map(|w| w.to_string()).collect(),
+        verdict: report.merged.verdict(),
+        checks,
+    })
+}
+
+fn print_outcome(o: &Outcome) {
+    println!(
+        "== soak: {} ({:?}, {:?}) ==",
+        o.scenario, o.kind, o.variant
+    );
+    if o.offered_rate == 0 {
+        println!("offered:   flat-out for {:.1}s", o.duration_s);
+    } else {
+        println!("offered:   {} calls/s for {:.1}s", o.offered_rate, o.duration_s);
+    }
+    println!(
+        "sustained: {:.0} calls/s ({} calls in {:.2}s)",
+        o.sustained_rate, o.calls, o.wall_s
+    );
+    for (name, p50, p95, p99, p999) in &o.latencies {
+        println!("{name:<28} p50={p50} p95={p95} p99={p99} p999={p999}");
+    }
+    let n = |key| o.n(key);
+    println!(
+        "events:    appended {} routed {} checked {} shed {} (timeout {} abandoned {} injected {}) stranded {}",
+        n("appended"),
+        n("routed"),
+        n("checked"),
+        n("shed"),
+        n("shed_timeout"),
+        n("shed_abandoned"),
+        n("shed_injected"),
+        n("stranded")
+    );
+    if n("unreliable_violations") > 0 {
+        println!(
+            "unreliable: {} violation(s) past a coverage gap suppressed",
+            n("unreliable_violations")
+        );
+    }
+    println!(
+        "overload:  lag peak {} occupancy peak {} decisions -{}+{} watchdog rescues {} quarantines {}",
+        n("lag_peak"),
+        n("occupancy_peak"),
+        n("decisions_decrease"),
+        n("decisions_recover"),
+        n("watchdog_rescues"),
+        n("watchdog_quarantines")
+    );
+    for w in &o.shed_windows {
+        println!("uncovered: {w}");
+    }
+    println!("verdict:   {}", o.verdict);
+    for &(name, ledger, metric) in &o.checks {
+        if ledger != metric {
+            println!("DRIFT:     {name}: ledger {ledger} vs metric {metric}");
+        }
+    }
+}
+
+/// The adaptive config the smoke pins: tiny channels, a fast tick, and a
+/// small initial budget, so a single stalled checker drives the
+/// controller through shed → abandon → decrease within a second.
+fn smoke_adaptive(objects: u32) -> AdaptiveConfig {
+    let space = 4 * objects as u64;
+    AdaptiveConfig {
+        capacity: 4,
+        initial_timeout: Duration::from_micros(500),
+        initial_budget: 16,
+        tick: Duration::from_millis(2),
+        high_watermark: space * 3 / 4,
+        low_watermark: (space / 4).max(1),
+        min_timeout: Duration::from_micros(50),
+        max_timeout: Duration::from_millis(10),
+        // Low enough that a stalled shard exhausts its budget and is
+        // abandoned within the smoke's sub-second run, instead of paying
+        // the shed timeout per event for the whole duration.
+        max_budget: 64,
+        watchdog_deadline: Duration::from_millis(200),
+    }
+}
+
+/// The pinned-seed CI saturation check (`--smoke`): two legs, both
+/// offered ~4× what the stalled pipeline sustains.
+///
+/// * Correct leg: Multiset-Vector under view refinement with shard 0's
+///   checker stalled 150 ms. Must shed (we drove it past saturation),
+///   must reconcile exactly, and must end DEGRADED PASS — overload never
+///   turns a correct run into FAIL, and never forges a clean PASS.
+/// * Buggy leg: Treiber-Stack (seeded ABA violation on object 0) under
+///   I/O checking with shard *1* stalled instead, so the violation
+///   carrier is checked while another shard degrades. Must reconcile and
+///   must not PASS.
+fn smoke(seed: u64) -> ExitCode {
+    eprintln!("soak --smoke: seed {seed} (replay with --seed {seed})");
+    let mut ok = true;
+    let mut outcomes = Vec::new();
+
+    let pinned = format!(
+        "soak --rate 60000 --duration 0.9 --objects 3 --workers 3 --capacity 4 --threads 4 --seed {seed}"
+    );
+    let load = cli::parse(pinned.split(' ').map(str::to_owned)).expect("the pinned command line");
+    for (name, kind, variant, stalled) in [
+        (
+            "Multiset-Vector",
+            CheckKind::View,
+            Variant::Correct,
+            "pool.check.0",
+        ),
+        (
+            "Treiber-Stack",
+            CheckKind::Io,
+            Variant::Buggy,
+            "pool.check.1",
+        ),
+    ] {
+        let scenario = scenarios::by_name(name).expect("smoke scenarios are registered");
+        let scope = fault::install(FaultPlan::seeded(seed).rule(
+            stalled,
+            FaultRule::once(FaultAction::Delay(Duration::from_millis(150))),
+        ));
+        let outcome = soak_once(
+            scenario.as_ref(),
+            kind,
+            variant,
+            &load,
+            Some(smoke_adaptive(3)),
+        );
+        drop(scope);
+        let Some(mut o) = outcome else {
+            eprintln!("soak --smoke: {variant:?} leg unsupported");
+            ok = false;
+            continue;
+        };
+        let verdict = o.verdict;
+        if variant == Variant::Correct {
+            o.checks
+                .push(holds("sheds observed past saturation", o.n("shed") > 0));
+            o.checks.push(holds(
+                "controller reacted (decrease decisions)",
+                o.n("decisions_decrease") > 0,
+            ));
+            o.checks.push(holds(
+                "correct run is a degraded pass, not FAIL",
+                verdict == Verdict::DegradedPass,
+            ));
+        } else {
+            o.checks.push(holds(
+                "buggy run never forged into PASS",
+                verdict != Verdict::Pass,
+            ));
+        }
+        print_outcome(&o);
+        ok &= o.reconciled();
+        outcomes.push(o);
+    }
+
+    // Each leg is its own artifact's JSON, nested four spaces deep.
+    let legs = outcomes
+        .iter()
+        .map(|o| o.to_json().trim_end().replace('\n', "\n    "));
+    let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"seed\": {seed},");
+    let _ = writeln!(json, "  \"ok\": {ok},");
+    let _ = writeln!(json, "  \"legs\": [");
+    json += &json_lines(legs, 4);
+    let _ = writeln!(json, "  ]");
+    json.push_str("}\n");
+    ok &= write_result("SOAK_smoke.json", &json);
+    if !ok {
+        eprintln!("soak --smoke: FAILED (reconciliation drift or wrong verdict direction)");
+    }
+    ExitCode::from(u8::from(!ok))
+}
+
+/// `Multiset-Vector` → `Multiset_Vector` for a results filename.
+fn file_stem(name: &str) -> String {
+    name.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect()
+}

@@ -1,4 +1,4 @@
-//! `stats` — exercise the verifier pipeline with self-observability on
+//! `vyrd stats` — exercise the verifier pipeline with self-observability on
 //! and export the metrics snapshots.
 //!
 //! Two phases, both driven through the public harness API:
@@ -30,78 +30,33 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use vyrd_bench::results_dir;
 use vyrd_core::log::EventLog;
-use vyrd_core::AdaptiveConfig;
-use vyrd_core::pool::{PoolReport, SupervisorConfig, VerifierPool};
+use vyrd_core::pool::{SupervisorConfig, VerifierPool};
 use vyrd_core::shard::ShardConfig;
-use vyrd_core::violation::{AdaptiveAction, WatchdogAction};
 use vyrd_core::witness::{ViolationKey, WitnessPipeline};
+use vyrd_core::AdaptiveConfig;
 use vyrd_core::Event;
-use vyrd_harness::scenario::{run_online_sharded, CheckKind, Scenario, Variant};
+use vyrd_harness::fault_matrix::{cfg, record_multi, replay_supervised, OBJECTS, WORKERS};
+use vyrd_harness::scenario::{run_online_sharded_with, CheckKind, Scenario, Variant};
 use vyrd_harness::scenarios;
-use vyrd_harness::workload::WorkloadConfig;
 use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
-use vyrd_rt::metrics;
 
-/// Default seed: the fault matrix's CI seed, so `stats` cells replay the
-/// same schedule `scripts/verify.sh` pins.
-const DEFAULT_SEED: u64 = 3_405_691_582;
+use crate::cli::{Args, SEED};
+use crate::ledger::{all_agree, checks_json, holds, json_lines, metered, overload_checks, Check};
+use crate::write_result;
 
-/// Objects (= log shards) per run; matches the fault matrix grid.
-const OBJECTS: u32 = 3;
-const WORKERS: usize = OBJECTS as usize;
-
-fn cfg(seed: u64) -> WorkloadConfig {
-    WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 25,
-        key_pool: 8,
-        shrink_pool: true,
-        internal_task: true,
-        seed,
-        pace: None,
-    }
-}
-
-fn main() -> ExitCode {
-    let mut seed = match fault::seed_from_env() {
-        0 => DEFAULT_SEED,
-        s => s,
+pub(crate) fn run(args: &Args) -> ExitCode {
+    // `--seed` wins, then $VYRD_FAULT_SEED, then the table's default.
+    let seed = match fault::seed_from_env() {
+        env if env != 0 && !args.given(&SEED) => env,
+        _ => args.get(&SEED),
     };
-    let mut iter = std::env::args().skip(1);
-    while let Some(a) = iter.next() {
-        match a.as_str() {
-            "--seed" => match iter.next().map(|s| s.parse::<u64>()) {
-                Some(Ok(s)) => seed = s,
-                Some(Err(_)) | None => {
-                    eprintln!("--seed takes an integer, e.g. --seed 42");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other:?} (supported: --seed N)");
-                return ExitCode::from(2);
-            }
-        }
-    }
     eprintln!("stats: seed {seed} (replay with VYRD_FAULT_SEED={seed})");
 
-    let scenario = match scenarios::by_name("Multiset-Vector") {
-        Some(s) => s,
-        None => {
-            eprintln!("Multiset-Vector scenario missing");
-            return ExitCode::FAILURE;
-        }
-    };
-
+    let scenario = scenarios::by_name("Multiset-Vector").expect("Multiset-Vector scenario");
     let mut ok = smoke(scenario.as_ref(), seed);
     ok &= reconcile(scenario.as_ref(), seed);
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(u8::from(!ok))
 }
 
 /// Phase 1: a clean sharded online run with counters and spans live.
@@ -110,27 +65,25 @@ fn main() -> ExitCode {
 /// recorded replay) so the instrumented method sessions produce trace
 /// spans, not just counters.
 fn smoke(scenario: &dyn Scenario, seed: u64) -> bool {
-    metrics::reset();
-    metrics::set_enabled(true);
-    metrics::set_spans_enabled(true);
-    let report = run_online_sharded(
-        scenario,
-        &cfg(seed),
-        CheckKind::View,
-        Variant::Correct,
-        OBJECTS,
-        WORKERS,
-    );
-    metrics::set_spans_enabled(false);
-    metrics::set_enabled(false);
+    let (report, snap) = metered(true, || {
+        run_online_sharded_with(
+            scenario,
+            &cfg(seed),
+            CheckKind::View,
+            Variant::Correct,
+            OBJECTS,
+            WORKERS,
+            ShardConfig::default(),
+            SupervisorConfig::default(),
+        )
+    });
     let report = match report {
-        Some((_, r)) => r,
+        Some((_, r)) => r.merged,
         None => {
             eprintln!("smoke: scenario has no shard factory");
             return false;
         }
     };
-    let snap = metrics::snapshot();
     println!("== smoke run: sharded online {} ==", scenario.name());
     print!("{snap}");
     println!("verdict: {}", report.verdict());
@@ -164,28 +117,28 @@ fn smoke(scenario: &dyn Scenario, seed: u64) -> bool {
         "span latency histogram present",
     );
 
-    let path = results_dir().join("METRICS_smoke.json");
-    match fs::write(&path, snap.to_json()) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("smoke: cannot write {}: {e}", path.display());
-            ok = false;
-        }
-    }
-    ok
+    ok & write_result("METRICS_smoke.json", &snap.to_json())
 }
 
 /// One reconciliation cell: what the ledger said vs what the registry
 /// counted, for every counter the two share.
 struct Cell {
     case: &'static str,
-    /// `(name, ledger, metric)` triples; agreement is exact equality.
-    checks: Vec<(&'static str, u64, u64)>,
+    checks: Vec<Check>,
 }
 
 impl Cell {
     fn agrees(&self) -> bool {
-        self.checks.iter().all(|&(_, a, b)| a == b)
+        all_agree(&self.checks)
+    }
+
+    /// A cell that could not run: an impossible pair, so it reads as a
+    /// disagreement.
+    fn failed(case: &'static str, what: &'static str) -> Cell {
+        Cell {
+            case,
+            checks: vec![(what, 0, 1)],
+        }
     }
 }
 
@@ -196,64 +149,58 @@ fn reconcile(scenario: &dyn Scenario, seed: u64) -> bool {
 
     // Clean cell: every degradation counter and its metric are both zero,
     // and the append/check counters match the log's own stats.
-    cells.push(run_cell("clean", scenario, &events, || None, None));
+    cells.push(run_cell("clean", scenario, &events, None, None));
 
     // Routing drop: the `shard.route` failpoint sheds a budgeted number
     // of events; ledger sheds and `shard.events_shed` must agree exactly.
+    let routing_drop = FaultPlan::seeded(seed).rule(
+        "shard.route",
+        FaultRule::always(FaultAction::Drop).after(3).times(7),
+    );
     cells.push(run_cell(
         "routing-drop",
         scenario,
         &events,
-        || {
-            Some(fault::install(FaultPlan::seeded(seed).rule(
-                "shard.route",
-                FaultRule::always(FaultAction::Drop).after(3).times(7),
-            )))
-        },
+        Some(routing_drop.clone()),
         None,
     ));
 
     // Worker panic: one checker panic, one supervised restart.
+    let panic_once =
+        FaultPlan::seeded(seed).rule("pool.check.1", FaultRule::once(FaultAction::Panic));
     cells.push(run_cell(
         "worker-panic-restart",
         scenario,
         &events,
-        || {
-            Some(fault::install(
-                FaultPlan::seeded(seed)
-                    .rule("pool.check.1", FaultRule::once(FaultAction::Panic)),
-            ))
-        },
+        Some(panic_once),
         None,
     ));
 
     // Spawn fallback: every worker spawn refused, shards checked inline.
+    let no_spawns =
+        FaultPlan::seeded(seed).rule("pool.spawn", FaultRule::always(FaultAction::Drop));
     cells.push(run_cell(
         "spawn-fallback",
         scenario,
         &events,
-        || {
-            Some(fault::install(
-                FaultPlan::seeded(seed).rule("pool.spawn", FaultRule::always(FaultAction::Drop)),
-            ))
-        },
+        Some(no_spawns),
         None,
     ));
 
     // Overload shed: stalled checker + tiny bounded channels; sheds are
     // schedule-dependent in *count*, but ledger and metric still move in
     // lockstep because they are incremented at the same sites.
+    let stall = FaultPlan::seeded(seed).rule(
+        "pool.check.0",
+        FaultRule::once(FaultAction::Delay(Duration::from_millis(150))),
+    );
+    let tiny = ShardConfig::bounded_shedding(2, Duration::from_millis(1), 4);
     cells.push(run_cell(
         "overload-shed",
         scenario,
         &events,
-        || {
-            Some(fault::install(FaultPlan::seeded(seed).rule(
-                "pool.check.0",
-                FaultRule::once(FaultAction::Delay(Duration::from_millis(150))),
-            )))
-        },
-        Some(ShardConfig::bounded_shedding(2, Duration::from_millis(1), 4)),
+        Some(stall),
+        Some(tiny),
     ));
 
     // Decode/consume reconciliation: the framed trace decoded through
@@ -261,7 +208,7 @@ fn reconcile(scenario: &dyn Scenario, seed: u64) -> bool {
     // injected routing drops. `decode.events`, the log's own count, and
     // `checker.batch_events` must reconcile exactly, with every lost
     // event accounted in the shed/stranded ledger.
-    cells.push(run_decode_cell(scenario, seed, &events));
+    cells.push(run_decode_cell(scenario, routing_drop, &events));
 
     // Torn tail: spill a trace to durable segments, tear the unsealed
     // tail mid-frame, and reconcile the continuous verifier's damage
@@ -296,55 +243,16 @@ fn reconcile(scenario: &dyn Scenario, seed: u64) -> bool {
         }
     }
 
-    let path = results_dir().join("METRICS_fault_matrix.json");
-    match fs::write(&path, cells_json(seed, &cells, all_agree)) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("reconcile: cannot write {}: {e}", path.display());
-            return false;
-        }
+    if !write_result(
+        "METRICS_fault_matrix.json",
+        &cells_json(seed, &cells, all_agree),
+    ) {
+        return false;
     }
     if !all_agree {
         eprintln!("reconcile: FAILED: metrics disagree with the degradation ledger");
     }
     all_agree
-}
-
-/// Records one multi-object run of the correct variant (metrics off, so
-/// the recording does not pollute the replay's counters).
-fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
-    let log = EventLog::in_memory(CheckKind::View.log_mode());
-    assert!(
-        scenario.run_multi(&cfg(seed), &log, Variant::Correct, OBJECTS),
-        "{} should support multi-object runs",
-        scenario.name()
-    );
-    log.snapshot()
-}
-
-/// Replays a recorded trace through a supervised pool, returning the pool
-/// report and the log's final stats.
-fn run_pool(
-    scenario: &dyn Scenario,
-    events: &[Event],
-    config: ShardConfig,
-    supervisor: SupervisorConfig,
-) -> Option<(PoolReport, vyrd_core::log::LogStats)> {
-    let factory = scenario.shard_factory(CheckKind::View)?;
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::View.log_mode(),
-        WORKERS,
-        config,
-        supervisor,
-        move |object| factory(object),
-    );
-    let log = pool.log().clone();
-    for e in events {
-        log.append_event(e.clone());
-    }
-    let report = pool.finish_all();
-    let stats = log.stats();
-    Some((report, stats))
 }
 
 /// Runs one reconciliation cell: reset the registry, arm the cell's
@@ -353,30 +261,22 @@ fn run_cell(
     case: &'static str,
     scenario: &dyn Scenario,
     events: &[Event],
-    arm: impl FnOnce() -> Option<fault::FaultScope>,
+    faults: Option<FaultPlan>,
     config: Option<ShardConfig>,
 ) -> Cell {
-    metrics::reset();
-    metrics::set_enabled(true);
-    let scope = arm();
-    let result = run_pool(
-        scenario,
-        events,
-        config.unwrap_or_default(),
-        SupervisorConfig::default(),
-    );
-    drop(scope);
-    metrics::set_enabled(false);
-    let snap = metrics::snapshot();
-    let (report, log_stats) = match result {
-        Some(r) => r,
-        None => {
-            return Cell {
-                case,
-                // An impossible pair so the cell reads as a failure.
-                checks: vec![("shard factory missing", 0, 1)],
-            };
-        }
+    let (result, snap) = metered(false, || {
+        let config = config.unwrap_or_default();
+        replay_supervised(
+            scenario,
+            CheckKind::View,
+            events,
+            faults,
+            config,
+            SupervisorConfig::default(),
+        )
+    });
+    let Some((report, log_stats)) = result else {
+        return Cell::failed(case, "shard factory missing");
     };
     let d = &report.merged.degradation;
     let c = |name: &str| snap.counter(name).unwrap_or(0);
@@ -418,49 +318,37 @@ fn run_cell(
 /// append count ≡ `checker.batch_events` — must hold exactly, with the
 /// two legitimate leaks (injected sheds, stranded in-flight events when
 /// a checker stops) accounted increment-for-increment by the ledger.
-fn run_decode_cell(scenario: &dyn Scenario, seed: u64, events: &[Event]) -> Cell {
+fn run_decode_cell(scenario: &dyn Scenario, routing_drop: FaultPlan, events: &[Event]) -> Cell {
     use vyrd_core::codec::{self, LogReader};
 
     let case = "decode-consume";
-    let fail = |what: &'static str| Cell {
-        case,
-        checks: vec![(what, 0, 1)],
-    };
+    let fail = |what| Cell::failed(case, what);
     let mut encoded = Vec::new();
     if codec::write_log(&mut encoded, events).is_err() {
         return fail("trace encode failed");
     }
 
-    metrics::reset();
-    metrics::set_enabled(true);
-    let decoded = (|| -> std::io::Result<Vec<Event>> {
+    // One metering window over both halves: the reader folds its
+    // `decode.*` counters when it drops, then the pool replays.
+    let (result, snap) = metered(false, || -> std::io::Result<_> {
+        let mut decoded = Vec::new();
         let mut reader = LogReader::new(encoded.as_slice())?;
-        let mut out = Vec::new();
         while let Some(e) = reader.next_event()? {
-            out.push(e);
+            decoded.push(e);
         }
-        Ok(out)
-    })();
-    let decoded = match decoded {
-        Ok(d) => d,
-        Err(_) => {
-            metrics::set_enabled(false);
-            return fail("trace decode failed");
-        }
+        drop(reader);
+        Ok(replay_supervised(
+            scenario,
+            CheckKind::View,
+            &decoded,
+            Some(routing_drop),
+            ShardConfig::default(),
+            SupervisorConfig::default(),
+        ))
+    });
+    let Ok(result) = result else {
+        return fail("trace decode failed");
     };
-    let scope = fault::install(FaultPlan::seeded(seed).rule(
-        "shard.route",
-        FaultRule::always(FaultAction::Drop).after(3).times(7),
-    ));
-    let result = run_pool(
-        scenario,
-        &decoded,
-        ShardConfig::default(),
-        SupervisorConfig::default(),
-    );
-    drop(scope);
-    metrics::set_enabled(false);
-    let snap = metrics::snapshot();
     let Some((report, log_stats)) = result else {
         return fail("shard factory missing");
     };
@@ -495,15 +383,13 @@ fn run_decode_cell(scenario: &dyn Scenario, seed: u64, events: &[Event]) -> Cell
                 c("checker.batch_events"),
                 s.batch_events,
             ),
-            (
+            holds(
                 "batched delivery actually used",
-                u64::from(s.batches > 0 && s.batch_events >= s.batches),
-                1,
+                s.batches > 0 && s.batch_events >= s.batches,
             ),
-            (
+            holds(
                 "decode framing reconciles (frames <= events, bytes > 0)",
-                u64::from(c("decode.frames") == c("decode.events") && c("decode.bytes") > 0),
-                1,
+                c("decode.frames") == c("decode.events") && c("decode.bytes") > 0,
             ),
         ],
     }
@@ -521,10 +407,7 @@ fn run_torn_cell(scenario: &dyn Scenario, seed: u64) -> Cell {
     use vyrd_core::segment::{scan_segments, ContinuousOptions, ContinuousVerifier, SegmentConfig};
 
     let case = "torn-tail";
-    let fail = |what: &'static str| Cell {
-        case,
-        checks: vec![(what, 0, 1)],
-    };
+    let fail = |what| Cell::failed(case, what);
     let Some(factory) = scenario.stepping_factory(CheckKind::Io) else {
         return fail("stepping factory missing");
     };
@@ -612,10 +495,9 @@ fn run_torn_cell(scenario: &dyn Scenario, seed: u64) -> Cell {
                 report.stats.events,
                 sealed_events + codec_events,
             ),
-            (
+            holds(
                 "verdict stays a pass over the clean prefix",
-                u64::from(report.passed()),
-                1,
+                report.passed(),
             ),
         ],
     }
@@ -628,10 +510,7 @@ fn run_torn_cell(scenario: &dyn Scenario, seed: u64) -> Cell {
 /// trace with observers must have actually searched some windows.
 fn run_lin_cell(seed: u64) -> Cell {
     let case = "lin-metrics";
-    let fail = |what: &'static str| Cell {
-        case,
-        checks: vec![(what, 0, 1)],
-    };
+    let fail = |what| Cell::failed(case, what);
     let Some(scenario) = scenarios::by_name("Treiber-Stack") else {
         return fail("Treiber-Stack scenario missing");
     };
@@ -640,24 +519,20 @@ fn run_lin_cell(seed: u64) -> Cell {
         return fail("multi-object run unsupported");
     }
     let events = log.snapshot();
-    let Some(factory) = scenario.shard_factory(CheckKind::Lin) else {
+    let (result, snap) = metered(false, || {
+        let (config, supervisor) = (ShardConfig::default(), SupervisorConfig::default());
+        replay_supervised(
+            scenario.as_ref(),
+            CheckKind::Lin,
+            &events,
+            None,
+            config,
+            supervisor,
+        )
+    });
+    let Some((report, _)) = result else {
         return fail("Lin shard factory missing");
     };
-    metrics::reset();
-    metrics::set_enabled(true);
-    let pool = VerifierPool::spawn_supervised(
-        CheckKind::Lin.log_mode(),
-        WORKERS,
-        ShardConfig::default(),
-        SupervisorConfig::default(),
-        move |object| factory(object),
-    );
-    for e in &events {
-        pool.log().append_event(e.clone());
-    }
-    let report = pool.finish_all();
-    metrics::set_enabled(false);
-    let snap = metrics::snapshot();
     let s = &report.merged.stats;
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     Cell {
@@ -678,16 +553,11 @@ fn run_lin_cell(seed: u64) -> Cell {
                 s.lin_fastpath_hits,
                 c("lin.fastpath_hits"),
             ),
-            (
+            holds(
                 "windows searched on an observer-bearing trace",
-                u64::from(s.lin_windows_searched > 0),
-                1,
+                s.lin_windows_searched > 0,
             ),
-            (
-                "verdict stays a pass",
-                u64::from(report.merged.passed()),
-                1,
-            ),
+            holds("verdict stays a pass", report.merged.passed()),
         ],
     }
 }
@@ -701,10 +571,7 @@ fn run_lin_cell(seed: u64) -> Cell {
 fn run_witness_cell(seed: u64) -> Cell {
     use std::sync::atomic::{AtomicU64, Ordering};
     let case = "witness-minimization";
-    let fail = |what: &'static str| Cell {
-        case,
-        checks: vec![(what, 0, 1)],
-    };
+    let fail = |what| Cell::failed(case, what);
     let Some(scenario) = scenarios::by_name("Treiber-Stack") else {
         return fail("Treiber-Stack scenario missing");
     };
@@ -740,20 +607,17 @@ fn run_witness_cell(seed: u64) -> Cell {
                 cx.oracle_runs as u64,
                 observed.load(Ordering::Relaxed),
             ),
-            (
+            holds(
                 "minimized re-check preserves category + object",
-                u64::from(key_preserved),
-                1,
+                key_preserved,
             ),
-            (
+            holds(
                 "witness no larger than its trace",
-                u64::from(cx.events.len() <= events.len()),
-                1,
+                cx.events.len() <= events.len(),
             ),
-            (
+            holds(
                 "minimization actually shrank the trace",
-                u64::from(cx.events.len() < events.len()),
-                1,
+                cx.events.len() < events.len(),
             ),
         ],
     }
@@ -768,12 +632,8 @@ fn run_witness_cell(seed: u64) -> Cell {
 /// degrade-never-forge (a correct trace cannot FAIL from shedding).
 fn run_adaptive_cell(scenario: &dyn Scenario, seed: u64, events: &[Event]) -> Cell {
     let case = "adaptive-overload";
-    let fail = |what: &'static str| Cell {
-        case,
-        checks: vec![(what, 0, 1)],
-    };
     let Some(factory) = scenario.shard_factory(CheckKind::View) else {
-        return fail("View shard factory missing");
+        return Cell::failed(case, "View shard factory missing");
     };
     let space = 4 * u64::from(OBJECTS);
     let adaptive = AdaptiveConfig {
@@ -788,103 +648,30 @@ fn run_adaptive_cell(scenario: &dyn Scenario, seed: u64, events: &[Event]) -> Ce
         max_budget: 32,
         watchdog_deadline: Duration::from_millis(100),
     };
-    metrics::reset();
-    metrics::set_enabled(true);
-    let scope = fault::install(FaultPlan::seeded(seed).rule(
+    let stall = FaultPlan::seeded(seed).rule(
         "pool.check.0",
         FaultRule::once(FaultAction::Delay(Duration::from_millis(120))),
-    ));
-    let pool = VerifierPool::spawn_adaptive(
-        CheckKind::View.log_mode(),
-        WORKERS,
-        adaptive,
-        SupervisorConfig::default(),
-        move |object| factory(object),
     );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    let log_stats = pool.log().stats();
-    let report = pool.finish_all();
-    drop(scope);
-    metrics::set_enabled(false);
-    let snap = metrics::snapshot();
+    let ((report, log_stats), snap) = metered(false, || {
+        let _armed = fault::install(stall);
+        let pool = VerifierPool::spawn_adaptive(
+            CheckKind::View.log_mode(),
+            WORKERS,
+            adaptive,
+            SupervisorConfig::default(),
+            move |object| factory(object),
+        );
+        let log = pool.log().clone();
+        (pool.replay(events), log.stats())
+    });
     let d = &report.merged.degradation;
-    let c = |name: &str| snap.counter(name).unwrap_or(0);
-    let decrease = d
-        .adaptive_decisions
-        .iter()
-        .filter(|x| x.action == AdaptiveAction::Decrease)
-        .count() as u64;
-    let recover = d
-        .adaptive_decisions
-        .iter()
-        .filter(|x| x.action == AdaptiveAction::Recover)
-        .count() as u64;
-    let rescues = d
-        .watchdog_events
-        .iter()
-        .filter(|x| x.action == WatchdogAction::RescueWorker)
-        .count() as u64;
-    let quarantines = d
-        .watchdog_events
-        .iter()
-        .filter(|x| x.action == WatchdogAction::Quarantine)
-        .count() as u64;
-    let window_sum: u64 = d.shed_windows.iter().map(|w| w.events).sum();
-    Cell {
-        case,
-        checks: vec![
-            (
-                "log events vs log.events_appended",
-                log_stats.events,
-                c("log.events_appended"),
-            ),
-            (
-                "appended vs routed + shed",
-                c("log.events_appended"),
-                c("shard.events_routed") + c("shard.events_shed"),
-            ),
-            (
-                "routed vs checked + stranded",
-                c("shard.events_routed"),
-                c("pool.events_checked") + d.stranded_events,
-            ),
-            ("ledger sheds vs shard.events_shed", d.sheds(), c("shard.events_shed")),
-            (
-                "shed kind split sums to total",
-                c("shard.sheds_timeout") + c("shard.sheds_abandoned") + c("shard.sheds_injected"),
-                c("shard.events_shed"),
-            ),
-            ("shed window events vs ledger sheds", window_sum, d.sheds()),
-            (
-                "decrease decisions ledger vs metric",
-                decrease,
-                c("overload.decisions_decrease"),
-            ),
-            (
-                "recover decisions ledger vs metric",
-                recover,
-                c("overload.decisions_recover"),
-            ),
-            (
-                "watchdog rescues ledger vs metric",
-                rescues,
-                c("overload.watchdog_rescues"),
-            ),
-            (
-                "watchdog quarantines ledger vs metric",
-                quarantines,
-                c("overload.watchdog_quarantines"),
-            ),
-            ("sheds observed under the stall", u64::from(d.sheds() > 0), 1),
-            (
-                "degrade never forge: no FAIL on a correct trace",
-                u64::from(report.merged.violation.is_none()),
-                1,
-            ),
-        ],
-    }
+    let mut checks = overload_checks(d, &snap, log_stats.events);
+    checks.push(holds("sheds observed under the stall", d.sheds() > 0));
+    checks.push(holds(
+        "degrade never forge: no FAIL on a correct trace",
+        report.merged.violation.is_none(),
+    ));
+    Cell { case, checks }
 }
 
 /// Hand-rolled JSON for the reconciliation report (std-only, like the
@@ -895,22 +682,15 @@ fn cells_json(seed: u64, cells: &[Cell], all_agree: bool) -> String {
     let _ = writeln!(out, "  \"seed\": {seed},");
     let _ = writeln!(out, "  \"all_agree\": {all_agree},");
     let _ = writeln!(out, "  \"cells\": [");
-    for (i, cell) in cells.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"case\": \"{}\",", cell.case);
-        let _ = writeln!(out, "      \"agree\": {},", cell.agrees());
-        let _ = writeln!(out, "      \"checks\": [");
-        for (j, (name, ledger, metric)) in cell.checks.iter().enumerate() {
-            let sep = if j + 1 == cell.checks.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "        {{\"name\": \"{name}\", \"ledger\": {ledger}, \"metric\": {metric}}}{sep}"
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let sep = if i + 1 == cells.len() { "" } else { "," };
-        let _ = writeln!(out, "    }}{sep}");
-    }
+    let cells = cells.iter().map(|cell| {
+        format!(
+            "{{\n      \"case\": \"{}\",\n      \"agree\": {},\n      \"checks\": [\n{}      ]\n    }}",
+            cell.case,
+            cell.agrees(),
+            checks_json(&cell.checks, 8)
+        )
+    });
+    out += &json_lines(cells, 4);
     let _ = writeln!(out, "  ]");
     let _ = write!(out, "}}");
     out

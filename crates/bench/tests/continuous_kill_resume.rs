@@ -1,6 +1,6 @@
 //! Kill-and-resume proof for the continuous verification service.
 //!
-//! Spawns the `continuous` binary in `produce` mode, watches its progress
+//! Spawns `vyrd continuous produce`, watches its progress
 //! lines until at least one checkpoint is durable *and* checked segments
 //! have been physically deleted, then SIGKILLs the process mid-run — the
 //! real crash, not a simulated one. A second process then reopens the
@@ -18,8 +18,11 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-fn binary() -> &'static str {
-    env!("CARGO_BIN_EXE_continuous")
+/// `vyrd continuous <args>`.
+fn continuous(args: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_vyrd"));
+    command.arg("continuous").args(args);
+    command
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -59,10 +62,7 @@ fn await_checkpoint_and_deletion(child: &mut Child) {
 }
 
 fn run_to_final(args: &[&str]) -> (String, String) {
-    let out = Command::new(binary())
-        .args(args)
-        .output()
-        .expect("spawn continuous");
+    let out = continuous(args).output().expect("spawn continuous");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(out.status.success(), "{args:?} failed:\n{stdout}");
     let final_line = stdout
@@ -81,16 +81,15 @@ fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
 
     // A workload large enough that the kill lands mid-run; the gate fires
     // after a handful of 4 KiB segments, long before completion.
-    let mut child = Command::new(binary())
-        .args([
-            "produce",
-            "--dir",
-            &dir_s,
-            "--calls",
-            "8000",
-            "--segment-bytes",
-            "4096",
-        ])
+    let mut child = continuous(&[
+        "produce",
+        "--dir",
+        &dir_s,
+        "--calls",
+        "8000",
+        "--segment-bytes",
+        "4096",
+    ])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn produce");

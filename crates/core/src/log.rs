@@ -783,32 +783,15 @@ impl EventLog {
         )
     }
 
-    /// Creates a log that hands each event to `dispatch`, in log order.
-    ///
-    /// The callback runs inside the merger's critical section — per-object
-    /// order falls out for free, but the callback must stay cheap (the
-    /// shard router's per-object channel send is the intended shape) and
-    /// must not call back into this log.
-    pub fn dispatching<F>(mode: LogMode, mut dispatch: F) -> EventLog
-    where
-        F: FnMut(Event) + Send + 'static,
-    {
-        EventLog::dispatching_runs(mode, move |run: &mut Vec<Event>| {
-            for event in run.drain(..) {
-                dispatch(event);
-            }
-        })
-    }
-
     /// Creates a log that hands each merged *run* — a batch of owned
-    /// events already in total order — to `dispatch`. The batched twin of
-    /// [`EventLog::dispatching`]: destinations that can forward many
-    /// events per synchronization point (the shard router's per-object
-    /// `send_many`) consume the run wholesale instead of event-at-a-time.
+    /// events already in total order — to `dispatch`, so a destination
+    /// that can forward many events per synchronization point (the shard
+    /// router's per-object `send_many`) consumes the run wholesale.
     ///
     /// The callback must leave the vector empty (its allocation is
-    /// recycled for the next run), runs inside the merger's critical
-    /// section, and must not call back into this log.
+    /// recycled for the next run). It runs inside the merger's critical
+    /// section — per-object order falls out for free, but it must stay
+    /// cheap and must not call back into this log.
     pub fn dispatching_runs<F>(mode: LogMode, dispatch: F) -> EventLog
     where
         F: FnMut(&mut Vec<Event>) + Send + 'static,
@@ -1313,8 +1296,8 @@ mod tests {
     fn dispatch_sink_sees_events_in_order() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink_seen = Arc::clone(&seen);
-        let log = EventLog::dispatching(LogMode::Io, move |e: Event| {
-            sink_seen.lock().push(e);
+        let log = EventLog::dispatching_runs(LogMode::Io, move |run: &mut Vec<Event>| {
+            sink_seen.lock().extend(run.drain(..));
         });
         let a = log.logger();
         a.call("m", &[]);

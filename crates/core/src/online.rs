@@ -138,8 +138,14 @@ impl OnlineVerifier {
         S: Spec,
         R: Replayer,
     {
+        OnlineVerifier::spawn_boxed(mode, Box::new(checker))
+    }
+
+    /// [`OnlineVerifier::spawn`] for an already type-erased checker — what
+    /// a scenario's [`SteppingFactory`](crate::checker::SteppingFactory)
+    /// hands out.
+    pub fn spawn_boxed(mode: LogMode, checker: Box<dyn SteppingChecker>) -> OnlineVerifier {
         let (log, receiver) = EventLog::to_channel(mode);
-        let checker: Box<dyn SteppingChecker> = Box::new(checker);
         let job: Job = Box::new(move || supervised_check(checker, &receiver));
         // Park the job in a shared slot so a failed spawn does not lose
         // it (`Builder::spawn` consumes its closure even on error).

@@ -496,6 +496,18 @@ impl VerifierPool {
         self.finish_all().merged
     }
 
+    /// Replays a recorded trace through the pool: re-appends `events`
+    /// (thread and object ids intact) into its log, then
+    /// [`VerifierPool::finish_all`]. Faults armed by the caller fire inside
+    /// this pipeline — on append, on routing, and in the per-shard
+    /// checkers.
+    pub fn replay(self, events: &[Event]) -> PoolReport {
+        for e in events {
+            self.log.append_event(e.clone());
+        }
+        self.finish_all()
+    }
+
     /// Like [`VerifierPool::finish`], also returning the per-object
     /// reports.
     pub fn finish_all(mut self) -> PoolReport {

@@ -41,6 +41,8 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use vyrd_rt::bench::json_str;
+
 use crate::diagnose;
 use crate::event::{Event, MethodId, ObjectId, ThreadId};
 use crate::violation::{Report, Violation};
@@ -992,28 +994,6 @@ impl Counterexample {
 
 fn json_opt(v: Option<usize>) -> String {
     v.map_or("null".to_string(), |v| v.to_string())
-}
-
-/// Minimal JSON string escaping (mirrors `vyrd_rt::bench`'s emitter).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

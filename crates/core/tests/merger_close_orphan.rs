@@ -33,8 +33,10 @@ fn batch_parked_by_a_dead_thread_survives_close() {
     let dispatch = {
         let seen = Arc::clone(&seen);
         let mut first = true;
-        move |event: Event| {
-            seen.lock().unwrap_or_else(|e| e.into_inner()).push(event);
+        move |run: &mut Vec<Event>| {
+            seen.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend(run.drain(..));
             if first {
                 first = false;
                 // Signal that the merger's critical section is occupied,
@@ -44,7 +46,7 @@ fn batch_parked_by_a_dead_thread_survives_close() {
             }
         }
     };
-    let log = EventLog::dispatching(LogMode::Io, dispatch);
+    let log = EventLog::dispatching_runs(LogMode::Io, dispatch);
 
     // Thread A: append one event straight through the merger; its delivery
     // blocks in the dispatch callback with the merger lock held.

@@ -21,7 +21,7 @@ use std::fmt;
 use std::time::Duration;
 
 use vyrd_core::codec::{self, DecodeOutcome};
-use vyrd_core::log::EventLog;
+use vyrd_core::log::{EventLog, LogStats};
 use vyrd_core::pool::{PoolReport, SupervisorConfig, VerifierPool};
 use vyrd_core::shard::{partition_by_object, ShardConfig};
 use vyrd_core::violation::Verdict;
@@ -35,10 +35,10 @@ use crate::scenarios;
 use crate::workload::WorkloadConfig;
 
 /// Objects per multi-object run (one log shard each).
-const OBJECTS: u32 = 3;
+pub const OBJECTS: u32 = 3;
 /// Verifier threads per pool — one per object, so no case depends on
 /// shard hand-off order.
-const WORKERS: usize = OBJECTS as usize;
+pub const WORKERS: usize = OBJECTS as usize;
 
 /// One cell of the matrix: a scenario crossed with a fault case.
 #[derive(Debug)]
@@ -76,7 +76,9 @@ impl fmt::Display for MatrixOutcome {
     }
 }
 
-fn cfg(seed: u64) -> WorkloadConfig {
+/// The matrix workload: small enough that the whole grid runs in
+/// seconds, large enough that every shard sees traffic.
+pub fn cfg(seed: u64) -> WorkloadConfig {
     WorkloadConfig {
         threads: 4,
         calls_per_thread: 25,
@@ -88,8 +90,9 @@ fn cfg(seed: u64) -> WorkloadConfig {
     }
 }
 
-/// Records one multi-object run of the correct variant into memory.
-fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
+/// Records one multi-object run of the correct variant into memory
+/// (view-level logging).
+pub fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
     let log = EventLog::in_memory(CheckKind::View.log_mode());
     assert!(
         scenario.run_multi(&cfg(seed), &log, Variant::Correct, OBJECTS),
@@ -99,30 +102,77 @@ fn record_multi(scenario: &dyn Scenario, seed: u64) -> Vec<Event> {
     log.snapshot()
 }
 
-/// Re-appends a recorded trace into a supervised pool (thread and object
-/// ids intact) and collects the per-object + merged reports. Faults armed
-/// by the caller fire inside this pipeline: on append, on routing, and in
-/// the per-shard checkers.
-fn pool_report(
+/// Replays a recorded trace through a supervised `kind` pool
+/// ([`VerifierPool::replay`]) with `faults` armed for exactly that long —
+/// they fire inside the pipeline: on append, on routing, and in the
+/// per-shard checkers. Returns the per-object + merged reports with the
+/// pool log's final counters, or `None` when the scenario has no shard
+/// factory for `kind`.
+pub fn replay_supervised(
     scenario: &dyn Scenario,
+    kind: CheckKind,
     events: &[Event],
+    faults: Option<FaultPlan>,
     config: ShardConfig,
     supervisor: SupervisorConfig,
-) -> PoolReport {
-    let factory = scenario
-        .shard_factory(CheckKind::View)
-        .expect("sharded scenario has a factory");
+) -> Option<(PoolReport, LogStats)> {
+    let factory = scenario.shard_factory(kind)?;
+    let _armed = faults.map(fault::install);
     let pool = VerifierPool::spawn_supervised(
-        CheckKind::View.log_mode(),
+        kind.log_mode(),
         WORKERS,
         config,
         supervisor,
         move |object| factory(object),
     );
-    for e in events {
-        pool.log().append_event(e.clone());
+    let log = pool.log().clone();
+    let report = pool.replay(events);
+    Some((report, log.stats()))
+}
+
+/// The matrix's own replay: view checking under the default shard and
+/// supervision configuration unless the case overrides one.
+fn pool_report(
+    scenario: &dyn Scenario,
+    events: &[Event],
+    faults: Option<FaultPlan>,
+    config: Option<ShardConfig>,
+    supervisor: Option<SupervisorConfig>,
+) -> PoolReport {
+    let (config, supervisor) = (config.unwrap_or_default(), supervisor.unwrap_or_default());
+    replay_supervised(
+        scenario,
+        CheckKind::View,
+        events,
+        faults,
+        config,
+        supervisor,
+    )
+    .expect("sharded scenario has a factory")
+    .0
+}
+
+/// Checks every pooled per-object verdict (except `skip`'s) against the
+/// offline ground truth; returns how many shards were compared.
+fn agree_with_offline(
+    scenario: &dyn Scenario,
+    events: &[Event],
+    all: &PoolReport,
+    skip: Option<ObjectId>,
+) -> Result<usize, String> {
+    let offline = offline_verdicts(scenario, events);
+    let compared = offline.iter().filter(|(o, _)| Some(*o) != skip);
+    for (object, passed) in compared.clone() {
+        let pooled = all
+            .per_object
+            .iter()
+            .find(|(o, _)| o == object)
+            .ok_or_else(|| format!("{object} missing from pool report"))?;
+        if pooled.1.passed() != *passed {
+            return Err(format!("{object}: pool={} offline pass={passed}", pooled.1));
+        }
     }
-    pool.finish_all()
+    Ok(compared.count())
 }
 
 /// Ground truth: the offline per-object verdict for each shard of the
@@ -149,31 +199,17 @@ fn offline_verdicts(scenario: &dyn Scenario, events: &[Event]) -> Vec<(ObjectId,
 /// checks.
 fn case_clean(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     let events = record_multi(scenario, seed);
-    let all = pool_report(scenario, &events, ShardConfig::default(), SupervisorConfig::default());
+    let all = pool_report(scenario, &events, None, None, None);
     if all.merged.verdict() != Verdict::Pass {
         return Err(format!("expected a clean PASS, got: {}", all.merged));
     }
     if all.merged.is_degraded() {
         return Err(format!("clean run reported degradation: {}", all.merged));
     }
-    let offline = offline_verdicts(scenario, &events);
-    for (object, passed) in &offline {
-        let pooled = all
-            .per_object
-            .iter()
-            .find(|(o, _)| o == object)
-            .ok_or_else(|| format!("{object} missing from pool report"))?;
-        if pooled.1.passed() != *passed {
-            return Err(format!(
-                "{object}: pool={} offline pass={passed}",
-                pooled.1
-            ));
-        }
-    }
+    let shards = agree_with_offline(scenario, &events, &all, None)?;
     Ok(format!(
-        "clean PASS, {} events, {} shards agree with offline",
-        all.merged.stats.events,
-        offline.len()
+        "clean PASS, {} events, {shards} shards agree with offline",
+        all.merged.stats.events
     ))
 }
 
@@ -184,11 +220,8 @@ fn case_clean(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
 /// say `DEGRADED PASS`, never a clean one.
 fn case_panic_restart(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     let events = record_multi(scenario, seed);
-    let _scope = fault::install(
-        FaultPlan::seeded(seed).rule("pool.check.1", FaultRule::once(FaultAction::Panic)),
-    );
-    let all = pool_report(scenario, &events, ShardConfig::default(), SupervisorConfig::default());
-    drop(_scope);
+    let faults = FaultPlan::seeded(seed).rule("pool.check.1", FaultRule::once(FaultAction::Panic));
+    let all = pool_report(scenario, &events, Some(faults), None, None);
     let d = &all.merged.degradation;
     if d.restarts == 0 {
         return Err(format!("no restart recorded: {}", all.merged));
@@ -196,20 +229,7 @@ fn case_panic_restart(scenario: &dyn Scenario, seed: u64) -> Result<String, Stri
     if all.merged.verdict() != Verdict::DegradedPass {
         return Err(format!("expected DEGRADED PASS, got: {}", all.merged));
     }
-    let offline = offline_verdicts(scenario, &events);
-    for (object, passed) in &offline {
-        let pooled = all
-            .per_object
-            .iter()
-            .find(|(o, _)| o == object)
-            .ok_or_else(|| format!("{object} missing from pool report"))?;
-        if pooled.1.passed() != *passed {
-            return Err(format!(
-                "{object}: pool={} offline pass={passed}",
-                pooled.1
-            ));
-        }
-    }
+    agree_with_offline(scenario, &events, &all, None)?;
     Ok(format!(
         "survived 1 checker panic with {} restart(s), verdicts still agree",
         d.restarts
@@ -224,15 +244,13 @@ fn case_panic_restart(scenario: &dyn Scenario, seed: u64) -> Result<String, Stri
 /// [`ShardFailure`]: vyrd_core::violation::ShardFailure
 fn case_panic_exhausted(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     let events = record_multi(scenario, seed);
-    let _scope = fault::install(
-        FaultPlan::seeded(seed).rule("pool.check.1", FaultRule::always(FaultAction::Panic)),
-    );
+    let faults =
+        FaultPlan::seeded(seed).rule("pool.check.1", FaultRule::always(FaultAction::Panic));
     let supervisor = SupervisorConfig {
         max_restarts: 1,
         backoff: Duration::from_micros(200),
     };
-    let all = pool_report(scenario, &events, ShardConfig::default(), supervisor);
-    drop(_scope);
+    let all = pool_report(scenario, &events, Some(faults), None, Some(supervisor));
     let d = &all.merged.degradation;
     let failure = d
         .shard_failures
@@ -245,25 +263,10 @@ fn case_panic_exhausted(scenario: &dyn Scenario, seed: u64) -> Result<String, St
     if !all.merged.is_degraded() {
         return Err(format!("exhausted shard not surfaced as degraded: {}", all.merged));
     }
-    let offline = offline_verdicts(scenario, &events);
-    for (object, passed) in offline.iter().filter(|(o, _)| *o != ObjectId(1)) {
-        let pooled = all
-            .per_object
-            .iter()
-            .find(|(o, _)| o == object)
-            .ok_or_else(|| format!("{object} missing from pool report"))?;
-        if pooled.1.passed() != *passed {
-            return Err(format!(
-                "surviving {object}: pool={} offline pass={passed}",
-                pooled.1
-            ));
-        }
-    }
+    let survivors = agree_with_offline(scenario, &events, &all, Some(ObjectId(1)))?;
     Ok(format!(
-        "shard 1 abandoned after {} restart(s), {} events lost, other {} shards agree",
-        failure.restarts,
-        failure.events_lost,
-        offline.len().saturating_sub(1)
+        "shard 1 abandoned after {} restart(s), {} events lost, other {survivors} shards agree",
+        failure.restarts, failure.events_lost
     ))
 }
 
@@ -274,13 +277,12 @@ fn case_panic_exhausted(scenario: &dyn Scenario, seed: u64) -> Result<String, St
 /// coverage — the one thing that must not happen is a clean pass.
 fn case_overload_shed(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     let events = record_multi(scenario, seed);
-    let _scope = fault::install(FaultPlan::seeded(seed).rule(
+    let faults = FaultPlan::seeded(seed).rule(
         "pool.check.0",
         FaultRule::once(FaultAction::Delay(Duration::from_millis(150))),
-    ));
+    );
     let config = ShardConfig::bounded_shedding(2, Duration::from_millis(1), 4);
-    let all = pool_report(scenario, &events, config, SupervisorConfig::default());
-    drop(_scope);
+    let all = pool_report(scenario, &events, Some(faults), Some(config), None);
     let d = &all.merged.degradation;
     if d.sheds() == 0 {
         return Err(format!("expected sheds under overload, got: {}", all.merged));
@@ -301,12 +303,11 @@ fn case_overload_shed(scenario: &dyn Scenario, seed: u64) -> Result<String, Stri
 fn case_routing_drop(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     const DROPS: u64 = 7;
     let events = record_multi(scenario, seed);
-    let _scope = fault::install(FaultPlan::seeded(seed).rule(
+    let faults = FaultPlan::seeded(seed).rule(
         "shard.route",
         FaultRule::always(FaultAction::Drop).after(3).times(DROPS),
-    ));
-    let all = pool_report(scenario, &events, ShardConfig::default(), SupervisorConfig::default());
-    drop(_scope);
+    );
+    let all = pool_report(scenario, &events, Some(faults), None, None);
     let d = &all.merged.degradation;
     if d.sheds() != DROPS {
         return Err(format!("expected exactly {DROPS} sheds, got {}: {}", d.sheds(), all.merged));
@@ -323,11 +324,8 @@ fn case_routing_drop(scenario: &dyn Scenario, seed: u64) -> Result<String, Strin
 /// the verdict stays clean and agrees with the offline checks.
 fn case_spawn_fallback(scenario: &dyn Scenario, seed: u64) -> Result<String, String> {
     let events = record_multi(scenario, seed);
-    let _scope = fault::install(
-        FaultPlan::seeded(seed).rule("pool.spawn", FaultRule::always(FaultAction::Drop)),
-    );
-    let all = pool_report(scenario, &events, ShardConfig::default(), SupervisorConfig::default());
-    drop(_scope);
+    let faults = FaultPlan::seeded(seed).rule("pool.spawn", FaultRule::always(FaultAction::Drop));
+    let all = pool_report(scenario, &events, Some(faults), None, None);
     let d = &all.merged.degradation;
     if d.spawn_fallbacks == 0 {
         return Err(format!("no inline fallback recorded: {}", all.merged));
@@ -338,17 +336,7 @@ fn case_spawn_fallback(scenario: &dyn Scenario, seed: u64) -> Result<String, Str
             all.merged
         ));
     }
-    let offline = offline_verdicts(scenario, &events);
-    for (object, passed) in &offline {
-        let pooled = all
-            .per_object
-            .iter()
-            .find(|(o, _)| o == object)
-            .ok_or_else(|| format!("{object} missing from pool report"))?;
-        if pooled.1.passed() != *passed {
-            return Err(format!("{object}: pool={} offline pass={passed}", pooled.1));
-        }
-    }
+    agree_with_offline(scenario, &events, &all, None)?;
     Ok(format!(
         "every spawn refused, {} shard(s) checked inline, verdicts agree",
         d.spawn_fallbacks

@@ -5,13 +5,15 @@
 //! then run it with any logging mode / sink, check the resulting log
 //! offline (I/O or view), or verify it online on a separate thread.
 
+use std::fmt;
 use std::io;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use vyrd_rt::channel::Receiver;
 use vyrd_core::checker::{CheckerOptions, SteppingFactory};
 use vyrd_core::log::{EventLog, LogMode, LogStats};
+use vyrd_core::online::OnlineVerifier;
 use vyrd_core::pool::{PoolReport, SupervisorConfig, VerifierPool};
 use vyrd_core::segment::{
     ContinuousOptions, ContinuousVerifier, SegmentConfig, SegmentWriterSummary,
@@ -36,6 +38,28 @@ pub enum Variant {
     Buggy,
 }
 
+impl fmt::Display for Variant {
+    /// The command-line spelling, which [`FromStr`] parses back.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Variant::Correct => "correct",
+            Variant::Buggy => "buggy",
+        })
+    }
+}
+
+impl FromStr for Variant {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Variant, String> {
+        match s {
+            "correct" => Ok(Variant::Correct),
+            "buggy" => Ok(Variant::Buggy),
+            other => Err(format!("unknown variant {other:?} (correct|buggy)")),
+        }
+    }
+}
+
 /// Which refinement check to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckKind {
@@ -58,6 +82,31 @@ impl CheckKind {
         match self {
             CheckKind::Io | CheckKind::Lin => LogMode::Io,
             CheckKind::View => LogMode::View,
+        }
+    }
+}
+
+impl fmt::Display for CheckKind {
+    /// The command-line spelling, which [`FromStr`] parses back; also the
+    /// `mode` a witness artifact records.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CheckKind::Io => "io",
+            CheckKind::View => "view",
+            CheckKind::Lin => "lin",
+        })
+    }
+}
+
+impl FromStr for CheckKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<CheckKind, String> {
+        match s {
+            "io" => Ok(CheckKind::Io),
+            "view" => Ok(CheckKind::View),
+            "lin" => Ok(CheckKind::Lin),
+            other => Err(format!("unknown kind {other:?} (io|view|lin)")),
         }
     }
 }
@@ -150,20 +199,6 @@ pub trait Scenario: Send + Sync {
         }
     }
 
-    /// Checks a live event stream (for the online verification thread).
-    fn check_stream(&self, kind: CheckKind, receiver: &Receiver<Event>) -> Report {
-        match self.shard_factory(kind) {
-            Some(factory) => factory(ObjectId::DEFAULT).check(receiver),
-            None => {
-                // Drain the stream so the producer side never blocks on
-                // an abandoned channel before reporting the
-                // configuration error.
-                while receiver.recv().is_ok() {}
-                unsupported_report(self.name(), kind)
-            }
-        }
-    }
-
     /// The per-object checker factory for sharded verification — what a
     /// scenario hands to a [`VerifierPool`] — or `None` when the scenario
     /// does not support `kind`.
@@ -227,12 +262,7 @@ pub fn build_witness(
         minimizer: scenario.minimizer(kind),
         explainer: scenario.explainer(kind),
     };
-    let mode = match kind {
-        CheckKind::Io => "io",
-        CheckKind::View => "view",
-        CheckKind::Lin => "lin",
-    };
-    pipeline.run(scenario.name(), mode, events, report, &oracle)
+    pipeline.run(scenario.name(), &kind.to_string(), events, report, &oracle)
 }
 
 /// Builds a witness for a seeded bug whose streaming run retained no
@@ -311,65 +341,35 @@ pub fn run_discarding(
     (wall, log.stats())
 }
 
-/// Runs a scenario's workload while an online verification thread
-/// consumes the log concurrently (the "Prog.+logging and VYRD" column of
-/// Table 3). Returns the program-side wall time and the verifier's
-/// report.
+/// Runs a scenario's workload while an [`OnlineVerifier`] thread consumes
+/// the log concurrently (the "Prog.+logging and VYRD" column of Table 3).
+/// Returns the program-side wall time and the verifier's report — a
+/// checker that panics yields a degraded report, like every other driver.
+/// A `kind` the scenario does not support is refused before the workload
+/// runs, with [`unsupported_report`].
 pub fn run_online(
     scenario: &dyn Scenario,
     cfg: &WorkloadConfig,
     kind: CheckKind,
     variant: Variant,
 ) -> (Duration, Report) {
-    let (log, receiver) = EventLog::to_channel(kind.log_mode());
-    std::thread::scope(|scope| {
-        let verifier = scope.spawn(|| scenario.check_stream(kind, &receiver));
-        // Close the log even if the workload panics, so the verifier
-        // thread's recv loop terminates and the scope can unwind instead
-        // of deadlocking.
-        let run_result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                timed(|| scenario.run(cfg, &log, variant))
-            }));
-        log.close();
-        let report = verifier.join().expect("verifier thread");
-        match run_result {
-            Ok(((), wall)) => (wall, report),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
+    let Some(factory) = scenario.shard_factory(kind) else {
+        return (Duration::ZERO, unsupported_report(scenario.name(), kind));
+    };
+    // A panicking workload drops the verifier on unwind; its log closes
+    // with it, which ends the verification thread.
+    let verifier = OnlineVerifier::spawn_boxed(kind.log_mode(), factory(ObjectId::DEFAULT));
+    let ((), wall) = timed(|| scenario.run(cfg, verifier.log(), variant));
+    (wall, verifier.finish())
 }
 
-/// Runs a scenario's multi-object workload while a [`VerifierPool`]
-/// checks each object's log shard concurrently (§8's "logs of different
-/// objects checked concurrently and independently"). Returns the
-/// program-side wall time and the pool's merged report, or `None` when
-/// the scenario has no multi-object mode.
-pub fn run_online_sharded(
-    scenario: &dyn Scenario,
-    cfg: &WorkloadConfig,
-    kind: CheckKind,
-    variant: Variant,
-    objects: u32,
-    workers: usize,
-) -> Option<(Duration, Report)> {
-    let (wall, all) = run_online_sharded_with(
-        scenario,
-        cfg,
-        kind,
-        variant,
-        objects,
-        workers,
-        ShardConfig::default(),
-        SupervisorConfig::default(),
-    )?;
-    Some((wall, all.merged))
-}
-
-/// Like [`run_online_sharded`] with explicit shard and supervision
-/// configuration — the entry point the fault matrix drives. Returns the
-/// full [`PoolReport`] (per-object verdicts included) so callers can
-/// compare each shard against an offline re-check.
+/// Runs a scenario's multi-object workload while a supervised
+/// [`VerifierPool`] checks each object's log shard concurrently (§8's
+/// "logs of different objects checked concurrently and independently").
+/// Returns the program-side wall time and the full [`PoolReport`]
+/// (per-object verdicts included, so callers can compare each shard
+/// against an offline re-check), or `None` when the scenario has no
+/// multi-object mode or no shard factory for `kind`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_online_sharded_with(
     scenario: &dyn Scenario,
@@ -506,6 +506,22 @@ pub fn run_continuous(
     segments: SegmentConfig,
     options: ContinuousOptions,
 ) -> io::Result<ContinuousArtifacts> {
+    run_continuous_observed(scenario, cfg, kind, variant, segments, options, |_| Ok(()))
+}
+
+/// [`run_continuous`] with a progress observer: `observe` runs on the
+/// verifier thread once after the directory is opened (before the first
+/// poll) and once after every poll; an error it returns ends the
+/// verifier and becomes the run's error.
+pub fn run_continuous_observed(
+    scenario: &dyn Scenario,
+    cfg: &WorkloadConfig,
+    kind: CheckKind,
+    variant: Variant,
+    segments: SegmentConfig,
+    options: ContinuousOptions,
+    mut observe: impl FnMut(&ContinuousVerifier) -> io::Result<()> + Send,
+) -> io::Result<ContinuousArtifacts> {
     let factory = scenario.stepping_factory(kind).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::Unsupported,
@@ -519,8 +535,10 @@ pub fn run_continuous(
         let verifier = scope.spawn(|| -> io::Result<Report> {
             let mut verifier =
                 ContinuousVerifier::open(&dir, factory, options)?;
+            observe(&verifier)?;
             while !stop.load(Ordering::Relaxed) {
                 verifier.step()?;
+                observe(&verifier)?;
                 std::thread::sleep(Duration::from_millis(2));
             }
             // The writer has sealed its tail into the manifest by now;

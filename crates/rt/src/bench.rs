@@ -334,8 +334,10 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// JSON string literal with the escapes our ids can contain.
-fn json_str(s: &str) -> String {
+/// JSON string literal: quotes, backslashes and control characters
+/// escaped. The workspace's one JSON string emitter — the metrics
+/// snapshot and the witness artifact use it too.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -343,6 +345,7 @@ fn json_str(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
@@ -438,10 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn json_str_escapes() {
+    fn escapes_quotes_backslashes_and_control_characters() {
         assert_eq!(json_str("plain"), "\"plain\"");
         assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
+        assert_eq!(json_str("x\ny\r"), "\"x\\ny\\r\"");
     }
 
     #[test]

@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use crate::bench::json_str;
 use crate::sync::{CachePadded, Mutex};
 
 /// How many of the most recent spans the ring retains.
@@ -601,26 +602,6 @@ pub fn snapshot() -> Snapshot {
     snap.spans = spans.in_order();
     snap.spans_recorded = spans.total;
     snap
-}
-
-/// JSON string literal (same escape set as [`bench`](crate::bench)).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+# Pre-flight: the frozen benchmark package (BENCHMARK.json) compiles
+# against these crates unmodified and is what the pipeline runs after
+# this script. Its smoke runs every workload once with its own verdict
+# gates and conservation identities, so an API or verdict break that
+# would kill a PR at the benchmark stage fails here first.
+echo "==> benchmark pre-flight (benchmark/run.sh all --smoke)"
+benchmark/run.sh all --smoke >/dev/null
+
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
 
@@ -85,13 +93,13 @@ echo "==> check_throughput --smoke gate"
 cargo bench --offline -p vyrd-bench --bench check_throughput -- --smoke >/dev/null 2>&1
 test -f results/BENCH_check_throughput.json
 
-# Metrics export + reconciliation: the stats binary runs a live sharded
+# Metrics export + reconciliation: `vyrd stats` runs a live sharded
 # scenario with metrics and spans on, then replays the pinned-seed fault
 # matrix and exits non-zero unless every metric agrees exactly with the
 # Degradation ledger and log stats (lag >= 0 is among its own checks).
 echo "==> metrics export + fault-matrix reconciliation (stats)"
 VYRD_FAULT_SEED=3405691582 \
-    cargo run --release --offline -q -p vyrd-bench --bin stats >/dev/null
+    target/release/vyrd stats >/dev/null
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json
@@ -121,7 +129,7 @@ SEG_DIR="${TMPDIR:-/tmp}/vyrd-segment-smoke.$$"
 SEG_LOG="$SEG_DIR.produce.log"
 rm -rf "$SEG_DIR" "$SEG_LOG"
 VYRD_FAULT_SEED=3405691582 \
-    target/release/continuous produce --dir "$SEG_DIR" --seed 3405691582 \
+    target/release/vyrd continuous produce --dir "$SEG_DIR" --seed 3405691582 \
     --calls 12000 --segment-bytes 4096 >"$SEG_LOG" &
 SEG_PID=$!
 seg_gate() {
@@ -160,7 +168,7 @@ test -f "$SEG_DIR/manifest.log"
 ls "$SEG_DIR"/checkpoint-*.vyc >/dev/null
 SEG_LIVE_AT_RESUME="$(ls "$SEG_DIR"/seg-*.vyl 2>/dev/null | wc -l | tr -d ' ')"
 VYRD_FAULT_SEED=3405691582 \
-    target/release/continuous resume --dir "$SEG_DIR" --seed 3405691582 \
+    target/release/vyrd continuous resume --dir "$SEG_DIR" --seed 3405691582 \
     --json results/SEGMENT_smoke.json >"$SEG_DIR.resume.log"
 grep -q '^final passed=true' "$SEG_DIR.resume.log"
 if command -v python3 >/dev/null 2>&1; then
@@ -195,7 +203,7 @@ rm -rf "$SEG_DIR" "$SEG_LOG" "$SEG_DIR.resume.log"
 # on a pre-gap violation — overload must never forge a verdict either
 # way.
 echo "==> open-loop soak smoke (seed 3405691582)"
-target/release/soak --smoke --seed 3405691582 >/dev/null
+target/release/vyrd soak --smoke --seed 3405691582 >/dev/null
 test -s results/SOAK_smoke.json
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
@@ -222,9 +230,9 @@ fi
 # if the minimized witness exceeds 50 events, or if the originating log
 # was under 2000 events (a trivial trace would make the gate vacuous).
 echo "==> witness minimization gate (seed 3405691582)"
-target/release/witness --scenario Vector --kind view --seed 3405691582 \
+target/release/vyrd witness --scenario Vector --kind view --seed 3405691582 \
     --max-events 50 --min-log 2000 >/dev/null
-target/release/witness --scenario Treiber-Stack --kind lin --seed 3405691582 \
+target/release/vyrd witness --scenario Treiber-Stack --kind lin --seed 3405691582 \
     --max-events 50 --min-log 2000 >/dev/null
 test -s results/WITNESS_Vector.json
 test -s results/WITNESS_Treiber-Stack.json

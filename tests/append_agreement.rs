@@ -255,10 +255,7 @@ fn pool_verdict(scenario: &dyn Scenario, events: &[Event]) -> Report {
     let pool = VerifierPool::spawn(CheckKind::View.log_mode(), OBJECTS as usize, move |object| {
         factory(object)
     });
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    pool.replay(events).merged
 }
 
 fn per_object_offline_verdicts(scenario: &dyn Scenario, events: &[Event]) -> Vec<Report> {

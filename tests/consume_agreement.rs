@@ -86,10 +86,7 @@ fn pooled_verdict(
 ) -> Report {
     let factory = scenario.shard_factory(kind).expect("factory exists");
     let pool = VerifierPool::spawn(kind.log_mode(), workers, move |object| factory(object));
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    pool.replay(events).merged
 }
 
 /// The per-event baseline: each shard's stream is consumed through a

@@ -86,10 +86,7 @@ fn pool_report(scenario: &dyn Scenario, events: &[Event]) -> PoolReport {
         SupervisorConfig::default(),
         move |object| factory(object),
     );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish_all()
+    pool.replay(events)
 }
 
 /// The unsharded reference: partition the trace by object and run one

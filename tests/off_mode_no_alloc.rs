@@ -105,8 +105,8 @@ fn off_mode_logging_allocates_nothing_and_delivers_nothing() {
     let _g = guard();
     static DELIVERED: AtomicU64 = AtomicU64::new(0);
     IN_TEST_THREAD.with(|c| c.set(true));
-    let log = EventLog::dispatching(LogMode::Off, |_event| {
-        DELIVERED.fetch_add(1, Ordering::Relaxed);
+    let log = EventLog::dispatching_runs(LogMode::Off, |run| {
+        DELIVERED.fetch_add(run.drain(..).count() as u64, Ordering::Relaxed);
     });
 
     // Pre-build every input outside the measured region. `Value::Int` is
@@ -287,10 +287,7 @@ fn shed_metric_reconciles_with_degradation_ledger() {
         SupervisorConfig::default(),
         move |object| factory(object),
     );
-    for e in &events {
-        pool.log().append_event(e.clone());
-    }
-    let report = pool.finish_all();
+    let report = pool.replay(&events);
     metrics::set_enabled(false);
     drop(_scope);
 

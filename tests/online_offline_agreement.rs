@@ -35,7 +35,10 @@ fn check_via_channel(
     }
     log.close();
     drop(log);
-    scenario.check_stream(kind, &rx)
+    let factory = scenario
+        .shard_factory(kind)
+        .expect("every table scenario checks Io and View");
+    factory(vyrd::core::ObjectId::DEFAULT).check(&rx)
 }
 
 #[test]

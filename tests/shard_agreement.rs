@@ -69,10 +69,7 @@ fn pool_verdict(scenario: &dyn Scenario, events: &[Event]) -> Report {
     let pool = VerifierPool::spawn(CheckKind::View.log_mode(), OBJECTS as usize, move |object| {
         factory(object)
     });
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish()
+    pool.replay(events).merged
 }
 
 /// Like [`pool_verdict`] with explicit supervision, keeping the
@@ -92,10 +89,7 @@ fn pool_report_supervised(
         supervisor,
         move |object| factory(object),
     );
-    for e in events {
-        pool.log().append_event(e.clone());
-    }
-    pool.finish_all()
+    pool.replay(events)
 }
 
 /// The reference verdict: partition the trace by object and run one
