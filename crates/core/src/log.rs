@@ -53,6 +53,10 @@ use crate::metrics::pipeline;
 use crate::segment;
 use crate::value::Value;
 
+/// Registry length from which registering a thread buffer prunes dead
+/// entries (see `Inner::register`).
+const REGISTRY_PRUNE_MIN: usize = 64;
+
 /// Events a thread buffers locally before handing a batch to the merger.
 /// Large enough to amortize the merger lock, small enough that online
 /// verification latency stays in the microseconds.
@@ -489,7 +493,8 @@ struct Inner {
     /// whoever holds the merger lock (the *combiner*) and by every flush
     /// point. Producers never block on the merger.
     backlog: Mutex<Vec<(Vec<Stamped>, BatchStats)>>,
-    /// Live thread buffers; pruned of dead entries at each flush.
+    /// Live thread buffers; pruned of dead entries at each flush and,
+    /// amortised, at registration.
     buffers: Mutex<Vec<Weak<ThreadBuffer>>>,
     /// Present iff the sink is a [`MemorySink`]; shares its buffer.
     memory: Option<Arc<Mutex<Vec<Event>>>>,
@@ -605,6 +610,26 @@ impl Inner {
         let Merger { run, sink, .. } = m;
         sink.append_run(run);
         run.clear();
+    }
+
+    /// Adds a thread buffer to the registry `flush_buffers` walks.
+    ///
+    /// Flushes prune dead entries, but a program can take a handle per
+    /// call and never flush (`run_multi` under `vyrd soak`): each dead
+    /// `Weak` keeps its buffer's allocation alive, so registration prunes
+    /// too — only when the vector is full, and then leaves room for as
+    /// many registrations as entries survived, which keeps the cost
+    /// amortised O(1) however many loggers are live. Below
+    /// [`REGISTRY_PRUNE_MIN`] entries nothing changes, so few-logger
+    /// programs allocate exactly as they did.
+    fn register(&self, buffer: &Arc<ThreadBuffer>) {
+        let mut registry = self.buffers.lock();
+        if registry.len() == registry.capacity() && registry.len() >= REGISTRY_PRUNE_MIN {
+            registry.retain(|w| w.strong_count() > 0);
+            let live = registry.len();
+            registry.reserve(live);
+        }
+        registry.push(Arc::downgrade(buffer));
     }
 
     /// Drains every live thread buffer through the merger. After this
@@ -843,7 +868,7 @@ impl EventLog {
                 stats: BatchStats::default(),
             }),
         });
-        self.inner.buffers.lock().push(Arc::downgrade(&buf));
+        self.inner.register(&buf);
         ThreadLogger {
             log: self.clone(),
             buf,
@@ -1196,6 +1221,30 @@ mod tests {
         assert!(matches!(events[1], Event::Write { .. }));
         assert!(matches!(events[2], Event::Commit { .. }));
         assert!(matches!(events[3], Event::Return { .. }));
+    }
+
+    /// A program that takes a logger per call and never flushes (the
+    /// `run_multi` + soak shape) must not grow the buffer registry — nor
+    /// pin one dead buffer allocation per call — for the life of the run.
+    #[test]
+    fn short_lived_loggers_leave_the_registry_bounded() {
+        let log = EventLog::discarding(LogMode::Io);
+        let held: Vec<ThreadLogger> = (0..10).map(|_| log.logger()).collect();
+        for _ in 0..100_000 {
+            let logger = log.logger();
+            logger.call("m", &[]);
+            logger.commit();
+            logger.ret("m", Value::Unit);
+        }
+        let registry = log.inner.buffers.lock();
+        assert!(
+            registry.len() <= 2 * REGISTRY_PRUNE_MIN,
+            "{} entries registered for {} live loggers",
+            registry.len(),
+            held.len()
+        );
+        let live = registry.iter().filter(|w| w.strong_count() > 0).count();
+        assert_eq!(live, held.len(), "pruning must keep every live buffer");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct PipelineMetrics {
     /// `send_timeout` — the invisible stall the append critical section
     /// pays under overload, successful sends included.
     pub shard_shed_wait_ns: Arc<Histogram>,
-    /// Distinct objects the router has announced shards for.
+    /// Distinct objects the router has seen events for.
     pub shard_objects_seen: Arc<Gauge>,
     /// Per-object batches handed to shard channels via `send_many`
     /// (batched routing mode only).

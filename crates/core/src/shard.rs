@@ -36,11 +36,13 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vyrd_rt::channel::{self, Receiver, RecvError, SendTimeoutError, Sender, TryRecvError};
+use vyrd_rt::channel::{
+    self, Receiver, RecvError, SendError, SendTimeoutError, Sender, TryRecvError,
+};
+use vyrd_rt::intern::FnvMap;
 use vyrd_rt::sync::Mutex;
 
 use crate::event::{Event, ObjectId};
@@ -127,9 +129,13 @@ impl ShardConfig {
     }
 }
 
-/// The per-object routing slot: a live channel, or a tombstone for a
-/// shard abandoned after exhausting its shed budget.
+/// The per-object routing slot: nothing yet, a live channel, or a
+/// tombstone for a shard abandoned after exhausting its shed budget (or
+/// whose checker hung up).
 enum Slot {
+    /// No routable event yet: one the failpoint drops, or one for an
+    /// object already quarantined, announces nothing.
+    Unannounced,
     Live(Sender<Event>),
     Shedding,
 }
@@ -141,52 +147,37 @@ enum ShedKind {
     /// `send_timeout` expired on a full channel.
     Timeout,
     /// The shard was already abandoned (`Slot::Shedding`) or quarantined
-    /// by the watchdog; no wait was attempted.
+    /// by the watchdog, or its checker hung up; no wait was attempted.
     Abandoned,
     /// The `shard.route` failpoint dropped the event.
     Injected,
 }
 
-/// Folds one shed into the per-object count and its dispatch-seq window,
-/// mirroring the metric increments exactly (the `stats` binary asserts
-/// the ledger and the counters never drift). `delivered` is the number
-/// of events already delivered to this object's shard; the first shed
-/// freezes it into the window as the gap-free prefix length.
-fn record_shed(
-    sheds: &Mutex<BTreeMap<ObjectId, u64>>,
-    windows: &Mutex<BTreeMap<u32, ShedWindow>>,
+/// Everything the router keeps about one object, found with one probe
+/// per event.
+struct ObjectRoute {
     object: ObjectId,
-    seq: u64,
+    slot: Slot,
+    /// The watchdog quarantined this object: a claimed-but-stuck checker
+    /// must not cost the program a full shed timeout per event.
+    quarantined: bool,
+    /// Delivered count (successful sends only): the length of the
+    /// gap-free prefix the shard's checker consumes. Frozen into the
+    /// shed window at the object's first shed so merge-time verdicts can
+    /// tell prefix violations (sound) from post-gap ones (unreliable).
+    /// Tracked unconditionally — the ledger needs it whether or not
+    /// metrics are on.
     delivered: u64,
-    kind: ShedKind,
-) -> u64 {
-    let total = {
-        let mut sheds = sheds.lock();
-        let count = sheds.entry(object).or_insert(0);
-        *count += 1;
-        *count
-    };
-    let mut windows = windows.lock();
-    let window = windows.entry(object.0).or_insert(ShedWindow {
-        object,
-        first_seq: seq,
-        last_seq: seq,
-        events: 0,
-        prefix_events: delivered,
-        abandoned_at_seq: None,
-    });
-    window.last_seq = seq;
-    window.events += 1;
-    if vyrd_rt::metrics::enabled() {
-        let pm = pipeline();
-        pm.shard_events_shed.inc();
-        match kind {
-            ShedKind::Timeout => pm.shard_sheds_timeout.inc(),
-            ShedKind::Abandoned => pm.shard_sheds_abandoned.inc(),
-            ShedKind::Injected => pm.shard_sheds_injected.inc(),
-        }
-    }
-    total
+    /// Delivery counter, registered at the first delivery made with
+    /// metrics on (the registration allocation happens once per object,
+    /// not per event).
+    fanout: Option<Arc<vyrd_rt::metrics::Counter>>,
+    /// The batch accumulated during the current merged run (batched mode
+    /// only). The buffer persists across runs so its capacity is
+    /// recycled; it is empty between runs.
+    pending: Vec<Event>,
+    /// Dispatch seq of `pending`'s first event.
+    pending_first_seq: u64,
 }
 
 /// The routing state captured by the dispatch-sink closure: everything
@@ -203,46 +194,64 @@ struct RouteState {
     announce: Sender<(ObjectId, Receiver<Event>)>,
     sheds: Arc<Mutex<BTreeMap<ObjectId, u64>>>,
     windows: Arc<Mutex<BTreeMap<u32, ShedWindow>>>,
-    slots: HashMap<u32, Slot>,
-    /// Per-object delivery counters, registered lazily as each object
-    /// announces its shard (the registration allocation happens once per
-    /// object, not per event).
-    fanout: HashMap<u32, Arc<vyrd_rt::metrics::Counter>>,
+    /// One entry per object seen, in first-seen order; `index` maps an
+    /// object id to its position and `last` remembers the previous
+    /// event's, so a run of events for one object probes nothing. A
+    /// position is the handle every helper and the flush worklist pass
+    /// around: a map of structs would re-probe at each of them.
+    ///
+    /// Object ids are small integers the program under test chose, not
+    /// outside input: a multiply-per-byte hash is enough, and SipHash was
+    /// a measurable share of the per-event routing cost.
+    routes: Vec<ObjectRoute>,
+    index: FnvMap<u32, usize>,
+    last: Option<(u32, usize)>,
     /// Dispatch index: this event's position in the total order at the
     /// fan-out point. Stamped into shed windows and published to the
     /// controller so adaptive decisions can name the seq range they
     /// governed.
     seq: u64,
-    /// Quarantine set, cached against the controller's epoch so the
-    /// per-event cost is one relaxed load until a watchdog actually
-    /// quarantines something.
+    /// The controller's quarantine epoch the `quarantined` flags were
+    /// last synced at, so the per-event cost is one relaxed load until a
+    /// watchdog actually quarantines something.
     quarantine_epoch: u64,
-    quarantined: HashSet<u32>,
-    /// Per-object delivered counts (successful sends only): the length
-    /// of the gap-free prefix each shard's checker consumes. Frozen into
-    /// the shed window at the object's first shed so merge-time verdicts
-    /// can tell prefix violations (sound) from post-gap ones
-    /// (unreliable). Tracked unconditionally — the ledger needs it
-    /// whether or not metrics are on.
-    delivered: HashMap<u32, u64>,
-    /// Per-object batches accumulated during the current merged run
-    /// (batched mode only). Buffers persist across runs so their
-    /// capacity is recycled; they are empty between runs.
-    pending: HashMap<u32, Vec<Event>>,
-    /// Objects whose pending batch became non-empty this run — the
+    /// Positions whose pending batch became non-empty this run — the
     /// flush worklist (may hold duplicates after a mid-run flush; a
     /// flush of an empty batch is a no-op).
-    touched: Vec<u32>,
+    touched: Vec<usize>,
 }
 
 impl RouteState {
+    /// The position of `object`'s entry, created empty at first sight.
+    fn position(&mut self, object: ObjectId) -> usize {
+        if let Some((id, at)) = self.last {
+            if id == object.0 {
+                return at;
+            }
+        }
+        let at = *self.index.entry(object.0).or_insert_with(|| {
+            self.routes.push(ObjectRoute {
+                object,
+                slot: Slot::Unannounced,
+                quarantined: false,
+                delivered: 0,
+                fanout: None,
+                pending: Vec::new(),
+                pending_first_seq: 0,
+            });
+            self.routes.len() - 1
+        });
+        self.last = Some((object.0, at));
+        at
+    }
+
     /// Routes one event: stamps its dispatch seq, runs the failpoint /
     /// quarantine / slot front matter in exactly the per-event order the
     /// unbatched router used (fault-seed replay depends on it), then
     /// either buffers it (batched mode) or sends it under the Shed
     /// policy's timeout discipline.
     fn route(&mut self, event: Event) {
-        let object = event.object();
+        let at = self.position(event.object());
         let my_seq = self.seq;
         self.seq += 1;
         if let Some(control) = &self.control {
@@ -255,65 +264,59 @@ impl RouteState {
         // delivered ahead of this loss.
         if vyrd_rt::fault::enabled() {
             if let vyrd_rt::fault::Disposition::Drop = vyrd_rt::fault::inject("shard.route") {
-                self.flush_object(object.0);
-                self.record_shed_now(object, my_seq, ShedKind::Injected);
+                self.shed(at, my_seq, ShedKind::Injected);
                 return;
             }
         }
-        // Watchdog quarantine: a claimed-but-stuck checker must not cost
-        // the program a full shed timeout per event.
         if let Some(control) = &self.control {
             let epoch = control.quarantine_epoch();
             if epoch != self.quarantine_epoch {
-                self.quarantined = control.quarantined_objects();
+                // Objects only ever enter the set, and only the watchdog
+                // adds them — for shards this router announced.
+                for id in control.quarantined_objects() {
+                    if let Some(&quarantined) = self.index.get(&id) {
+                        self.routes[quarantined].quarantined = true;
+                    }
+                }
                 self.quarantine_epoch = epoch;
             }
-            if self.quarantined.contains(&object.0) {
-                self.flush_object(object.0);
-                self.record_shed_now(object, my_seq, ShedKind::Abandoned);
-                return;
-            }
         }
-        match self.slots.entry(object.0) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                if matches!(slot.get(), Slot::Shedding) {
-                    self.flush_object(object.0);
-                    self.record_shed_now(object, my_seq, ShedKind::Abandoned);
-                    return;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let (tx, rx) = match self.config.capacity {
-                    Some(n) => channel::bounded(n),
-                    None => channel::unbounded(),
-                };
-                if let Some(control) = &self.control {
-                    control.register_shard(object, rx.monitor());
-                }
-                // The consumer side being gone just means checking was
-                // abandoned; keep the program running (same contract as
-                // the plain channel sink).
-                let _ = self.announce.send((object, rx));
-                slot.insert(Slot::Live(tx));
-            }
-        }
-        if self.batched {
-            let buf = self.pending.entry(object.0).or_default();
-            if buf.is_empty() {
-                self.touched.push(object.0);
-            }
-            buf.push(event);
+        let route = &mut self.routes[at];
+        if route.quarantined || matches!(route.slot, Slot::Shedding) {
+            self.shed(at, my_seq, ShedKind::Abandoned);
             return;
         }
-        self.send_shedding(object, my_seq, event);
+        if matches!(route.slot, Slot::Unannounced) {
+            let (tx, rx) = match self.config.capacity {
+                Some(n) => channel::bounded(n),
+                None => channel::unbounded(),
+            };
+            if let Some(control) = &self.control {
+                control.register_shard(route.object, rx.monitor());
+            }
+            // The consumer side being gone just means checking was
+            // abandoned; keep the program running (same contract as
+            // the plain channel sink).
+            let _ = self.announce.send((route.object, rx));
+            route.slot = Slot::Live(tx);
+        }
+        if self.batched {
+            if route.pending.is_empty() {
+                self.touched.push(at);
+                route.pending_first_seq = my_seq;
+            }
+            route.pending.push(event);
+            return;
+        }
+        self.send_shedding(at, my_seq, event);
     }
 
     /// The Shed policy's per-event delivery: wait at most the (possibly
     /// adaptive) timeout for a slot, shed on expiry, abandon the shard
     /// once the budget is spent or the checker hangs up.
-    fn send_shedding(&mut self, object: ObjectId, my_seq: u64, event: Event) {
-        let (OverloadPolicy::Shed { timeout, budget }, Some(Slot::Live(sender))) =
-            (self.config.policy, self.slots.get(&object.0))
+    fn send_shedding(&mut self, at: usize, my_seq: u64, event: Event) {
+        let (OverloadPolicy::Shed { timeout, budget }, Slot::Live(sender)) =
+            (self.config.policy, &self.routes[at].slot)
         else {
             // Unbatched routing only happens under the Shed policy, and
             // the slot was just created or checked Live above.
@@ -337,53 +340,98 @@ impl RouteState {
                 .record(t0.elapsed().as_nanos() as u64);
         }
         match outcome {
-            Ok(()) => self.mark_delivered(object, 1),
-            // Checker hung up (stopped at a violation, or its worker
-            // died): checking is over for this object. Count the loss
-            // and stop attempting delivery — every later event goes down
-            // the fast Shedding path instead of a doomed send.
-            Err(SendTimeoutError::Closed(_)) => {
-                self.record_shed_now(object, my_seq, ShedKind::Abandoned);
-                self.abandon(object, my_seq);
-            }
+            Ok(()) => self.mark_delivered(at, 1),
+            Err(SendTimeoutError::Closed(_)) => self.hung_up(at, my_seq, my_seq, 1),
             Err(SendTimeoutError::Timeout(_)) => {
-                let shed_so_far = self.record_shed_now(object, my_seq, ShedKind::Timeout);
+                let shed_so_far = self.record_shed(at, my_seq, my_seq, 1, ShedKind::Timeout);
                 if shed_so_far >= budget {
                     // Abandon the shard: dropping the sender disconnects
                     // the channel so the checker finishes on the events
                     // it already has.
-                    self.abandon(object, my_seq);
+                    self.abandon(at, my_seq);
                 }
             }
         }
     }
 
+    /// The checker hung up (stopped at a violation, or its worker died)
+    /// with `lost` events, dispatched within `first_seq..=last_seq`, not
+    /// yet queued: checking is over for this object. Count the loss and
+    /// stop attempting delivery — every later event goes down the fast
+    /// Shedding path instead of a doomed send.
+    fn hung_up(&mut self, at: usize, first_seq: u64, last_seq: u64, lost: u64) {
+        self.record_shed(at, first_seq, last_seq, lost, ShedKind::Abandoned);
+        self.abandon(at, last_seq);
+    }
+
     /// Tombstones the object's slot and stamps the abandonment seq into
     /// its shed window.
-    fn abandon(&mut self, object: ObjectId, my_seq: u64) {
-        if let Some(slot) = self.slots.get_mut(&object.0) {
-            *slot = Slot::Shedding;
-        }
-        if let Some(w) = self.windows.lock().get_mut(&object.0) {
+    fn abandon(&mut self, at: usize, my_seq: u64) {
+        let route = &mut self.routes[at];
+        route.slot = Slot::Shedding;
+        if let Some(w) = self.windows.lock().get_mut(&route.object.0) {
             if w.abandoned_at_seq.is_none() {
                 w.abandoned_at_seq = Some(my_seq);
             }
         }
     }
 
-    /// Records one shed against the object's ledger entry and window,
-    /// using the *current* delivered count (callers flush the object's
-    /// pending batch first so that count is exact).
-    fn record_shed_now(&mut self, object: ObjectId, my_seq: u64, kind: ShedKind) -> u64 {
-        let delivered_so_far = self.delivered.get(&object.0).copied().unwrap_or(0);
-        record_shed(
-            &self.sheds,
-            &self.windows,
+    /// Sheds the event at `my_seq` without attempting delivery. The
+    /// object's pending batch goes out first, so the delivered count the
+    /// shed freezes as its gap-free prefix is exact.
+    fn shed(&mut self, at: usize, my_seq: u64, kind: ShedKind) {
+        self.flush_object(at, my_seq);
+        self.record_shed(at, my_seq, my_seq, 1, kind);
+    }
+
+    /// Folds `n` sheds, dispatched within `first_seq..=last_seq`, into
+    /// the per-object count and its dispatch-seq window, mirroring the
+    /// metric increments exactly (`vyrd stats` asserts the ledger and
+    /// the counters never drift). The first shed freezes the object's
+    /// delivered count into the window as the gap-free prefix length.
+    /// Returns the object's sheds so far.
+    fn record_shed(
+        &mut self,
+        at: usize,
+        first_seq: u64,
+        last_seq: u64,
+        n: u64,
+        kind: ShedKind,
+    ) -> u64 {
+        let ObjectRoute {
+            object, delivered, ..
+        } = self.routes[at];
+        let total = {
+            let mut sheds = self.sheds.lock();
+            let count = sheds.entry(object).or_insert(0);
+            *count += n;
+            *count
+        };
+        let mut windows = self.windows.lock();
+        let window = windows.entry(object.0).or_insert(ShedWindow {
             object,
-            my_seq,
-            delivered_so_far,
-            kind,
-        )
+            first_seq,
+            last_seq,
+            events: 0,
+            injected: 0,
+            prefix_events: delivered,
+            abandoned_at_seq: None,
+        });
+        window.last_seq = last_seq;
+        window.events += n;
+        if let ShedKind::Injected = kind {
+            window.injected += n;
+        }
+        if vyrd_rt::metrics::enabled() {
+            let pm = pipeline();
+            pm.shard_events_shed.add(n);
+            match kind {
+                ShedKind::Timeout => pm.shard_sheds_timeout.add(n),
+                ShedKind::Abandoned => pm.shard_sheds_abandoned.add(n),
+                ShedKind::Injected => pm.shard_sheds_injected.add(n),
+            }
+        }
+        total
     }
 
     /// Marks `n` successful deliveries: the gap-free-prefix counter plus
@@ -391,45 +439,55 @@ impl RouteState {
     /// deliveries only — appends that were shed instead are under
     /// `shard.events_shed`, so
     /// `appended == routed + shed (+ stranded at shutdown)`.
-    fn mark_delivered(&mut self, object: ObjectId, n: u64) {
-        *self.delivered.entry(object.0).or_insert(0) += n;
+    fn mark_delivered(&mut self, at: usize, n: u64) {
+        let seen = self.routes.len() as u64;
+        let route = &mut self.routes[at];
+        route.delivered += n;
         if vyrd_rt::metrics::enabled() {
             let pm = pipeline();
             pm.shard_events_routed.add(n);
-            self.fanout
-                .entry(object.0)
-                .or_insert_with(|| {
-                    vyrd_rt::metrics::counter(&format!("shard.fanout.obj{}", object.0))
+            route
+                .fanout
+                .get_or_insert_with(|| {
+                    vyrd_rt::metrics::counter(&format!("shard.fanout.obj{}", route.object.0))
                 })
                 .add(n);
-            pm.shard_objects_seen.set_max(self.fanout.len() as u64);
+            pm.shard_objects_seen.set_max(seen);
         }
     }
 
-    /// Delivers the object's pending batch with one `send_many`. A
-    /// disconnected checker loses the batch, matching the per-event
-    /// path's fire-and-forget send; the buffer's capacity is retained
-    /// for the next run either way.
-    fn flush_object(&mut self, object: u32) {
-        let Some(buf) = self.pending.get_mut(&object) else {
-            return;
-        };
-        if buf.is_empty() {
+    /// Delivers the object's pending batch, dispatched before
+    /// `next_seq`, with one `send_many`; the buffer's capacity is
+    /// retained for the next run. A checker that hung up leaves a tail of
+    /// the batch unqueued: those events are shed, like the per-event
+    /// path's, in a window bounded by where the tail can lie (other
+    /// objects' events may sit between this batch's, so only a
+    /// one-object run pins it to the event).
+    fn flush_object(&mut self, at: usize, next_seq: u64) {
+        let route = &mut self.routes[at];
+        if route.pending.is_empty() {
             return;
         }
-        let n = buf.len() as u64;
-        let sent = match self.slots.get(&object) {
-            Some(Slot::Live(sender)) => sender.send_many(buf).is_ok(),
-            _ => false,
+        let Slot::Live(sender) = &route.slot else {
+            // Events are only ever buffered behind a live slot.
+            return;
         };
-        buf.clear();
-        if sent {
-            self.mark_delivered(ObjectId(object), n);
+        let n = route.pending.len() as u64;
+        let lost = match sender.send_many(&mut route.pending) {
+            Ok(()) => 0,
+            Err(SendError(lost)) => lost as u64,
+        };
+        if n > lost {
+            self.mark_delivered(at, n - lost);
             if vyrd_rt::metrics::enabled() {
                 let pm = pipeline();
                 pm.shard_batch_sends.inc();
-                pm.shard_batch_occupancy.record(n);
+                pm.shard_batch_occupancy.record(n - lost);
             }
+        }
+        if lost > 0 {
+            let first_lost = self.routes[at].pending_first_seq + (n - lost);
+            self.hung_up(at, first_lost, next_seq - 1, lost);
         }
     }
 
@@ -438,12 +496,9 @@ impl RouteState {
     /// the time any log flush point returns, batched events have reached
     /// their shards.
     fn flush_pending(&mut self) {
-        if self.touched.is_empty() {
-            return;
-        }
         let mut touched = std::mem::take(&mut self.touched);
-        for object in touched.drain(..) {
-            self.flush_object(object);
+        for at in touched.drain(..) {
+            self.flush_object(at, self.seq);
         }
         self.touched = touched;
     }
@@ -512,13 +567,11 @@ impl ShardRouter {
             announce,
             sheds: Arc::clone(&sheds),
             windows: Arc::clone(&windows),
-            slots: HashMap::new(),
-            fanout: HashMap::new(),
+            routes: Vec::new(),
+            index: FnvMap::default(),
+            last: None,
             seq: 0,
             quarantine_epoch: 0,
-            quarantined: HashSet::new(),
-            delivered: HashMap::new(),
-            pending: HashMap::new(),
             touched: Vec::new(),
         };
         let log = EventLog::dispatching_runs(mode, move |run: &mut Vec<Event>| {
@@ -683,6 +736,61 @@ mod tests {
         let delivered = rx.iter().count() as u64;
         assert_eq!(delivered, 2, "only the capacity's worth gets through");
         assert_eq!(router.sheds(), vec![(ObjectId::DEFAULT, 30 - delivered)]);
+    }
+
+    /// A checker that hangs up must not make a batch vanish: what
+    /// `send_many` could not queue is shed — counted, windowed, the slot
+    /// tombstoned — so `appended == routed + shed` survives it.
+    #[test]
+    fn batch_for_a_hung_up_checker_is_shed_not_lost() {
+        let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::bounded(64));
+        drive(&log, ObjectId(7), 2);
+        let (object, rx) = router.recv_shard().unwrap();
+        assert_eq!((object, rx.len()), (ObjectId(7), 6));
+        drop(rx);
+        drive(&log, ObjectId(7), 3); // one batch of 9, nobody to take it
+        drive(&log, ObjectId(7), 1); // the tombstoned slot sheds per event
+        log.close();
+        assert_eq!(router.sheds(), vec![(ObjectId(7), 12)]);
+        assert_eq!(
+            router.shed_windows(),
+            vec![ShedWindow {
+                object: ObjectId(7),
+                first_seq: 6,
+                last_seq: 17,
+                events: 12,
+                injected: 0,
+                prefix_events: 6,
+                abandoned_at_seq: Some(14),
+            }]
+        );
+    }
+
+    /// The same when the checker hangs up with the batch half queued:
+    /// the queued half was routed, only the rest is shed.
+    #[test]
+    fn batch_cut_short_by_a_hang_up_sheds_exactly_the_rest() {
+        let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::bounded(4));
+        let program = {
+            let log = log.clone();
+            thread::spawn(move || drive(&log, ObjectId::DEFAULT, 3))
+        };
+        let (_, rx) = router.recv_shard().unwrap();
+        // Full at its bound: the other 5 events' `send_many` is waiting.
+        while rx.len() < 4 {
+            thread::yield_now();
+        }
+        drop(rx);
+        program.join().unwrap();
+        log.close();
+        assert_eq!(router.sheds(), vec![(ObjectId::DEFAULT, 5)]);
+        let window = router.shed_windows()[0];
+        assert_eq!(
+            (window.first_seq, window.last_seq, window.events),
+            (4, 8, 5)
+        );
+        assert_eq!(window.prefix_events, 4);
+        assert_eq!(window.abandoned_at_seq, Some(8));
     }
 
     #[test]

@@ -366,13 +366,20 @@ impl fmt::Display for ShardFailure {
 pub struct ShedWindow {
     /// The object whose events were shed.
     pub object: ObjectId,
-    /// Dispatch seq of the first shed event.
+    /// Dispatch seq of the first shed event (a lower bound on it when the
+    /// window opens with the unqueued tail of a batch whose checker hung
+    /// up and other objects' events were interleaved with that batch).
     pub first_seq: u64,
     /// Dispatch seq of the last shed event.
     pub last_seq: u64,
     /// Events shed inside the window (the window may interleave with
     /// delivered events, so this is not `last_seq - first_seq + 1`).
     pub events: u64,
+    /// Of `events`, those the `shard.route` failpoint dropped. The rest
+    /// were shed by overload or because the checker hung up — how many
+    /// of those there are depends on how far the checker had got, this
+    /// count only on the fault plan.
+    pub injected: u64,
     /// Events *delivered* to this object's shard before the first shed —
     /// the length of the gap-free prefix of the checker's input. A
     /// violation the checker reports at a position below this count was
@@ -587,6 +594,12 @@ impl Degradation {
         self.sheds_by_object.iter().map(|(_, n)| n).sum()
     }
 
+    /// The part of [`Degradation::sheds`] that an injected `shard.route`
+    /// fault dropped (see [`ShedWindow::injected`]).
+    pub fn injected_sheds(&self) -> u64 {
+        self.shed_windows.iter().map(|w| w.injected).sum()
+    }
+
     /// `true` when the verdict covers less than the full execution: any
     /// sheds, lost events, checker crashes, restarts, or dead workers.
     /// (Spawn fallbacks alone do not count — see
@@ -628,6 +641,7 @@ impl Degradation {
                     w.first_seq = w.first_seq.min(window.first_seq);
                     w.last_seq = w.last_seq.max(window.last_seq);
                     w.events += window.events;
+                    w.injected += window.injected;
                     // The earliest gap bounds the trustworthy prefix.
                     w.prefix_events = w.prefix_events.min(window.prefix_events);
                     w.abandoned_at_seq = match (w.abandoned_at_seq, window.abandoned_at_seq) {

@@ -11,8 +11,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vyrd_core::checker::Checker;
 use vyrd_core::codec;
-use vyrd_core::log::LogMode;
+use vyrd_core::log::{EventLog, LogMode};
 use vyrd_core::pool::VerifierPool;
+use vyrd_core::shard::{ShardConfig, ShardRouter};
 use vyrd_core::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use vyrd_core::view::View;
 use vyrd_core::{Event, MethodId, ObjectId, ThreadId, Value};
@@ -60,8 +61,12 @@ fn set_pool() -> VerifierPool {
 
 /// `adds` completed Add calls (3 events each) on each of `objects`.
 fn drive(pool: &VerifierPool, objects: u32, adds: u32) {
+    drive_log(pool.log(), objects, adds);
+}
+
+fn drive_log(log: &EventLog, objects: u32, adds: u32) {
     for obj in 0..objects {
-        let logger = pool.log().with_object(ObjectId(obj)).logger();
+        let logger = log.with_object(ObjectId(obj)).logger();
         for i in 0..adds {
             logger.call("Add", &[Value::from(i64::from(i))]);
             logger.commit();
@@ -185,17 +190,35 @@ fn injected_codec_read_drop_ends_the_stream_early_without_error() {
     assert_eq!(records, events[..4], "reader stopped at the injected EOF");
 }
 
+/// The 0.25-probability `shard.route` plan every replay test installs.
+fn probabilistic_drops(seed: u64) -> FaultPlan {
+    FaultPlan::seeded(seed).rule(
+        "shard.route",
+        FaultRule::always(FaultAction::Drop).with_probability(0.25),
+    )
+}
+
 #[test]
 fn probabilistic_plans_replay_identically_per_seed() {
     let _serial = serial();
+    // Through the pool. Compared on the injected sheds: a checker that
+    // stops at a hole hangs up, and what the router then cannot deliver
+    // is shed too — by how far the program had got, not by the seed.
     let run = |seed: u64| -> Vec<(ObjectId, u64)> {
-        let _scope = fault::install(FaultPlan::seeded(seed).rule(
-            "shard.route",
-            FaultRule::always(FaultAction::Drop).with_probability(0.25),
-        ));
+        let _scope = fault::install(probabilistic_drops(seed));
         let pool = set_pool();
         drive(&pool, 3, 12);
-        pool.finish().degradation.sheds_by_object
+        let d = pool.finish().degradation;
+        assert_eq!(
+            d.shed_windows.iter().map(|w| (w.object, w.events)).collect::<Vec<_>>(),
+            d.sheds_by_object,
+            "windows and counts are one ledger"
+        );
+        d.shed_windows
+            .iter()
+            .map(|w| (w.object, w.injected))
+            .filter(|(_, injected)| *injected > 0)
+            .collect()
     };
     let a = run(0xD1CE);
     let b = run(0xD1CE);
@@ -203,4 +226,26 @@ fn probabilistic_plans_replay_identically_per_seed() {
     assert_eq!(a, b, "same seed, same sheds");
     assert!(!a.is_empty(), "0.25 over 108 events drops something");
     assert_ne!(a, c, "different seeds diverge");
+}
+
+/// With no checker behind the router nothing can hang up, so the whole
+/// shed ledger — counts and windows — is a function of the seed.
+#[test]
+fn probabilistic_plans_replay_identically_per_seed_at_the_router() {
+    let _serial = serial();
+    let run = |seed: u64| {
+        let _scope = fault::install(probabilistic_drops(seed));
+        let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::default());
+        drive_log(&log, 3, 12);
+        log.close();
+        let windows = router.shed_windows();
+        assert!(windows.iter().all(|w| w.injected == w.events), "{windows:?}");
+        (router.sheds(), windows)
+    };
+    let a = run(0xD1CE);
+    let b = run(0xD1CE);
+    let c = run(0xD1CE + 1);
+    assert_eq!(a, b, "same seed, same sheds");
+    assert!(!a.0.is_empty(), "0.25 over 108 events drops something");
+    assert_ne!(a.0, c.0, "different seeds diverge");
 }

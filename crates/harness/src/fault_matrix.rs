@@ -309,8 +309,21 @@ fn case_routing_drop(scenario: &dyn Scenario, seed: u64) -> Result<String, Strin
     );
     let all = pool_report(scenario, &events, Some(faults), None, None);
     let d = &all.merged.degradation;
-    if d.sheds() != DROPS {
-        return Err(format!("expected exactly {DROPS} sheds, got {}: {}", d.sheds(), all.merged));
+    if d.injected_sheds() != DROPS {
+        return Err(format!(
+            "expected exactly {DROPS} injected sheds, got {}: {}",
+            d.injected_sheds(),
+            all.merged
+        ));
+    }
+    // A checker that stops at the hole hangs up, and what the router
+    // cannot deliver to it afterwards is shed too — nothing else is.
+    if let Some(w) = d
+        .shed_windows
+        .iter()
+        .find(|w| w.events != w.injected && w.abandoned_at_seq.is_none())
+    {
+        return Err(format!("sheds beyond the injected ones without a hang-up ({w}): {}", all.merged));
     }
     if all.merged.verdict() == Verdict::Pass {
         return Err(format!("dropped routing reported as a clean PASS: {}", all.merged));

@@ -22,11 +22,50 @@
 //!   instead of growing the heap without bound. [`Sender::send_timeout`]
 //!   bounds that wait, which is what overload policies that *shed* instead
 //!   of stall are built on.
+//!
+//! # The wait protocol
+//!
+//! The channel sits on the router→checker edge, inside the log's append
+//! critical section, so what a hand-off costs the *other* side is what
+//! the program pays. In steady state a hand-off makes no system call:
+//!
+//! * **Notifies are gated on a waiter.** `Condvar::notify_*` is a
+//!   `futex_wake` whether or not anyone sleeps. Each side therefore
+//!   counts, under the queue lock, the threads parked on its condvar
+//!   (`Waiters::parked`, raised immediately before the wait and lowered
+//!   immediately after it) and the wakes already on their way to them
+//!   (`Waiters::notified`). The other side signals only while
+//!   `parked > notified`. Both the count and the condition a waiter
+//!   sleeps on change only under the lock, and the condvar releases the
+//!   lock atomically with going to sleep, so whoever changes the
+//!   condition either sees the waiter counted or is seen by it: no
+//!   wakeup is lost. A waiter that wakes for any reason (notify,
+//!   timeout, spuriously) takes itself out of both counts, so `notified`
+//!   can only under-count wakes in flight — the cost of that is a
+//!   redundant notify, never a missed one.
+//! * **A waiter spins before it parks.** Before sleeping, a blocked
+//!   thread releases the lock and polls, for at most `SPIN` (10 µs), an
+//!   occupancy word that the other side publishes *after* it has
+//!   released the queue lock. A spinning waiter is not parked, so it
+//!   costs the other side neither a wake nor a collision on the lock.
+//!   The bound is a constant of the order of what it replaces — one
+//!   futex wake plus the scheduler's hand-off to the woken thread — so a
+//!   wait that outlasts it costs at most about twice the parked one, and
+//!   one that does not costs neither side a system call. On a machine
+//!   with one core ([`std::thread::available_parallelism`] = 1) the
+//!   thread being waited for cannot run while the waiter spins, so
+//!   waiters park at once.
+//!
+//! Every blocking call goes through one private helper (`Shared::wait`).
+//! [`Monitor::wakeups`] counts the notifies actually made.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::sync::CachePadded;
 
 /// Error returned by [`Sender::send`] when the receiver is gone; carries
 /// the unsent value back.
@@ -148,10 +187,52 @@ impl fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
+/// How long a blocked thread polls the occupancy word before it parks:
+/// of the order of one futex wake plus the scheduler's hand-off to the
+/// woken thread (3–4.5 µs a message on a capacity-1 channel where every
+/// operation parks), the cost a successful spin saves both sides. Not
+/// longer: with more runnable threads than cores the spinner's core is
+/// one the thread it waits for could be using.
+const SPIN: Duration = Duration::from_micros(10);
+
+/// Whether a blocked thread spins before it parks. Not on one core: the
+/// thread it waits for cannot run until the waiter gives the core up.
+fn spin_before_park() -> bool {
+    static MULTICORE: OnceLock<bool> = OnceLock::new();
+    *MULTICORE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
+
+/// The threads parked on one of the channel's two condvars.
+#[derive(Default)]
+struct Waiters {
+    /// Threads between "about to wait" and "woke up", both under the
+    /// queue lock.
+    parked: usize,
+    /// Wakes issued to them that no woken thread has accounted for yet.
+    notified: usize,
+}
+
+impl Waiters {
+    /// Whether to `notify_one`: some parked thread has no wake on its
+    /// way. Counts the wake the caller then owes.
+    fn claim_one(&mut self) -> bool {
+        let owed = self.parked > self.notified;
+        if owed {
+            self.notified += 1;
+        }
+        owed
+    }
+
+    /// Whether to `notify_all`; counts a wake for every parked thread.
+    fn claim_all(&mut self) -> bool {
+        let owed = self.parked > self.notified;
+        self.notified = self.parked;
+        owed
+    }
+}
+
 struct State<T> {
     queue: VecDeque<T>,
-    /// `Some(n)` ⇒ `send` blocks while the queue holds `n` messages.
-    capacity: Option<usize>,
     /// Live [`Sender`] handles. 0 ⇒ disconnected on the producing side.
     senders: usize,
     /// The [`Receiver`] is still alive.
@@ -159,15 +240,42 @@ struct State<T> {
     /// Total messages ever popped by the receiver — lets a supervisor
     /// compute how many events a failed consumer got through before dying.
     popped: u64,
+    /// Threads parked in a receive, on `ready`. One by convention, but
+    /// pool workers compete on one `Receiver` for newly announced shards.
+    receiver_parked: Waiters,
+    /// Threads parked in a send to a full bounded channel, on `not_full`.
+    senders_parked: Waiters,
+}
+
+/// Which end of the channel a thread is blocked on.
+#[derive(Clone, Copy)]
+enum Side {
+    /// Waiting for a message (or for the last sender to go).
+    Receiver,
+    /// Waiting for room in a bounded channel (or for the receiver to go).
+    Sender,
 }
 
 struct Shared<T> {
     state: Mutex<State<T>>,
-    /// Signalled on every send and on producer-side disconnect.
+    /// `Some(n)` ⇒ `send` blocks while the queue holds `n` messages.
+    capacity: Option<usize>,
+    /// Signalled on a send, and on producer-side disconnect, while a
+    /// receiver is parked.
     ready: Condvar,
-    /// Signalled on every receive and on receiver drop; only senders on a
-    /// bounded channel ever wait on it.
+    /// Signalled on a receive, and on receiver drop, while a sender is
+    /// parked; only senders on a bounded channel ever wait on it.
     not_full: Condvar,
+    /// The queue's length as a running sum of deltas, each published
+    /// *after* the queue lock is released: what spinning waiters poll and
+    /// what the `len` probes read, neither touching the lock. It carries
+    /// no data (the queue itself is only read under the lock), hence
+    /// `Relaxed`. A pop's delta can land before the matching push's, so
+    /// the sum is read as a signed number and may briefly trail or lead
+    /// the queue by the batches in flight; it is exact at rest.
+    occupancy: CachePadded<AtomicUsize>,
+    /// `notify_*` calls actually made.
+    wakeups: AtomicU64,
 }
 
 impl<T> Shared<T> {
@@ -175,9 +283,156 @@ impl<T> Shared<T> {
     /// not wedge the verification thread (the queue contents stay valid —
     /// all critical sections are a push/pop plus counter updates).
     fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The published queue length (see `occupancy`).
+    fn len(&self) -> usize {
+        let sum = self.occupancy.load(Ordering::Relaxed);
+        // The upper half of the range is a transiently negative sum.
+        if sum > usize::MAX / 2 {
+            0
+        } else {
+            sum
+        }
+    }
+
+    fn is_full(&self, len: usize) -> bool {
+        self.capacity.is_some_and(|cap| len >= cap)
+    }
+
+    /// Whether `side` still has nothing to do but wait.
+    fn blocked(&self, state: &State<T>, side: Side) -> bool {
+        match side {
+            Side::Receiver => state.queue.is_empty() && state.senders > 0,
+            Side::Sender => state.receiver_alive && self.is_full(state.queue.len()),
+        }
+    }
+
+    /// The one place a thread waits. Call with `side` blocked; returns,
+    /// with the lock held again, once it may no longer be — or `deadline`
+    /// has passed, or the wait ended for no reason at all. Callers loop.
+    ///
+    /// Spins first (module docs): off the lock, on the occupancy word, for
+    /// at most [`SPIN`] and never past `deadline`. A disconnect does not
+    /// move that word; the spinner meets it when the bound runs out.
+    fn wait<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, State<T>>,
+        side: Side,
+        deadline: Option<Instant>,
+    ) -> MutexGuard<'a, State<T>> {
+        if spin_before_park() {
+            drop(state);
+            let spin_until = Instant::now() + SPIN;
+            let spin_until = deadline.map_or(spin_until, |d| d.min(spin_until));
+            let looks_blocked = || match side {
+                Side::Receiver => self.len() == 0,
+                Side::Sender => self.is_full(self.len()),
+            };
+            // A few dozen polls per clock read: reading the clock is the
+            // expensive part of the loop, and on sibling hardware threads
+            // it is taken from the very thread being waited for.
+            'spin: while Instant::now() < spin_until {
+                for _ in 0..32 {
+                    if !looks_blocked() {
+                        break 'spin;
+                    }
+                    std::hint::spin_loop();
+                }
+            }
+            state = self.lock();
+            if !self.blocked(&state, side) {
+                return state;
+            }
+        }
+        let remaining = match deadline {
+            Some(d) => match d.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => Some(left),
+                _ => return state,
+            },
+            None => None,
+        };
+        let condvar = match side {
+            Side::Receiver => &self.ready,
+            Side::Sender => &self.not_full,
+        };
+        // Counted under the lock the condvar is about to release: whoever
+        // unblocks this side next takes that lock first and sees it.
+        state.waiters(side).parked += 1;
+        state = match remaining {
+            Some(left) => {
+                condvar
+                    .wait_timeout(state, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => condvar.wait(state).unwrap_or_else(PoisonError::into_inner),
+        };
+        let waiters = state.waiters(side);
+        waiters.parked -= 1;
+        waiters.notified = waiters.notified.saturating_sub(1);
+        state
+    }
+
+    /// Finishes a send that queued `n` messages: releases the lock,
+    /// publishes the occupancy, and wakes a receiver only if one is
+    /// parked.
+    fn pushed(&self, mut state: MutexGuard<'_, State<T>>, n: usize) {
+        let wake = state.receiver_parked.claim_one();
+        drop(state);
+        self.occupancy.fetch_add(n, Ordering::Relaxed);
+        if wake {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.ready.notify_one();
+        }
+    }
+
+    /// Finishes a receive that took `n` messages, the mirror image of
+    /// [`Shared::pushed`]. One freed slot wakes one parked sender; a bulk
+    /// drain frees many at once, so it wakes them all (`notify_one` would
+    /// strand the rest until the next receive).
+    fn popped(&self, mut state: MutexGuard<'_, State<T>>, n: usize) {
+        state.popped += n as u64;
+        let wake = if n == 1 {
+            state.senders_parked.claim_one()
+        } else {
+            state.senders_parked.claim_all()
+        };
+        drop(state);
+        self.occupancy.fetch_sub(n, Ordering::Relaxed);
+        if wake {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            if n == 1 {
+                self.not_full.notify_one();
+            } else {
+                self.not_full.notify_all();
+            }
+        }
+    }
+
+    /// Wakes every thread parked on `side` after a disconnect recorded in
+    /// `state` — none, and no system call, when nobody is parked: a
+    /// spinning waiter re-reads the state under the lock by itself.
+    fn disconnected(&self, mut state: MutexGuard<'_, State<T>>, side: Side) {
+        let wake = state.waiters(side).claim_all();
+        drop(state);
+        if wake {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            match side {
+                Side::Receiver => self.ready.notify_all(),
+                Side::Sender => self.not_full.notify_all(),
+            }
+        }
+    }
+}
+
+impl<T> State<T> {
+    fn waiters(&mut self, side: Side) -> &mut Waiters {
+        match side {
+            Side::Receiver => &mut self.receiver_parked,
+            Side::Sender => &mut self.senders_parked,
+        }
     }
 }
 
@@ -185,13 +440,17 @@ fn channel_with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>)
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
-            capacity,
             senders: 1,
             receiver_alive: true,
             popped: 0,
+            receiver_parked: Waiters::default(),
+            senders_parked: Waiters::default(),
         }),
+        capacity,
         ready: Condvar::new(),
         not_full: Condvar::new(),
+        occupancy: CachePadded::new(AtomicUsize::new(0)),
+        wakeups: AtomicU64::new(0),
     });
     (
         Sender {
@@ -237,26 +496,8 @@ impl<T> Sender<T> {
     /// bounded channel it blocks while the channel is full. Fails
     /// (returning the message) when the [`Receiver`] has been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self.shared.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            match state.capacity {
-                Some(cap) if state.queue.len() >= cap => {
-                    state = self
-                        .shared
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                _ => break,
-            }
-        }
-        state.queue.push_back(value);
-        drop(state);
-        self.shared.ready.notify_one();
-        Ok(())
+        self.send_until(value, None)
+            .map_err(|e| SendError(e.into_inner()))
     }
 
     /// Appends a whole batch of messages under one lock acquisition and
@@ -265,57 +506,34 @@ impl<T> Sender<T> {
     /// This is the amortization primitive for batched logging: a
     /// per-thread buffer flushing 64 events pays one lock round-trip
     /// instead of 64. On a bounded channel the batch respects capacity —
-    /// the call blocks mid-batch while the channel is full, waking the
-    /// receiver for what has been queued so far, which preserves the
-    /// backpressure contract of [`Sender::send`].
+    /// the call blocks mid-batch while the channel is full, having handed
+    /// the receiver what fitted so it can free capacity, which preserves
+    /// the backpressure contract of [`Sender::send`].
     ///
     /// # Errors
     ///
     /// [`SendError`] when the [`Receiver`] is gone (immediately or
-    /// mid-batch); undelivered messages are dropped, matching the
-    /// fire-and-forget contract of a logging sink whose verifier stopped
-    /// early. `values` is left empty either way.
-    pub fn send_many(&self, values: &mut Vec<T>) -> Result<(), SendError<()>> {
-        if values.is_empty() {
-            return Ok(());
-        }
+    /// mid-batch), carrying how many messages were *not* queued so the
+    /// caller can account for them; those are dropped. `values` is left
+    /// empty either way.
+    pub fn send_many(&self, values: &mut Vec<T>) -> Result<(), SendError<usize>> {
+        // Dropping the drain, on any way out, empties `values`.
         let mut pending = values.drain(..);
-        let mut state = self.shared.lock();
-        let mut queued = 0usize;
-        loop {
+        while pending.len() > 0 {
+            let mut state = self.shared.lock();
+            while self.shared.blocked(&state, Side::Sender) {
+                state = self.shared.wait(state, Side::Sender, None);
+            }
             if !state.receiver_alive {
-                drop(state);
-                // Drain (and drop) the rest so `values` ends up empty.
-                pending.for_each(drop);
-                return Err(SendError(()));
+                return Err(SendError(pending.len()));
             }
-            if let Some(cap) = state.capacity {
-                if state.queue.len() >= cap {
-                    if queued > 0 {
-                        // The receiver may be asleep; hand it what we
-                        // queued so far so it can free capacity.
-                        self.shared.ready.notify_one();
-                        queued = 0;
-                    }
-                    state = self
-                        .shared
-                        .not_full
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    continue;
-                }
-            }
-            match pending.next() {
-                Some(v) => {
-                    state.queue.push_back(v);
-                    queued += 1;
-                }
-                None => break,
-            }
-        }
-        drop(state);
-        if queued > 0 {
-            self.shared.ready.notify_one();
+            let room = match self.shared.capacity {
+                Some(cap) => cap - state.queue.len(),
+                None => usize::MAX,
+            };
+            let n = room.min(pending.len());
+            state.queue.extend(pending.by_ref().take(n));
+            self.shared.pushed(state, n);
         }
         Ok(())
     }
@@ -336,33 +554,24 @@ impl<T> Sender<T> {
     /// not sleep forever); [`SendTimeoutError::Timeout`] when the channel
     /// stayed full for the whole timeout. Both carry the value back.
     pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
+        self.send_until(value, Some(Instant::now() + timeout))
+    }
+
+    /// [`Sender::send`] with an optional deadline; `Timeout` only with
+    /// one.
+    fn send_until(&self, value: T, deadline: Option<Instant>) -> Result<(), SendTimeoutError<T>> {
         let mut state = self.shared.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendTimeoutError::Closed(value));
+        while self.shared.blocked(&state, Side::Sender) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(SendTimeoutError::Timeout(value));
             }
-            match state.capacity {
-                Some(cap) if state.queue.len() >= cap => {
-                    let Some(remaining) = deadline
-                        .checked_duration_since(Instant::now())
-                        .filter(|d| !d.is_zero())
-                    else {
-                        return Err(SendTimeoutError::Timeout(value));
-                    };
-                    let (guard, _timed_out) = self
-                        .shared
-                        .not_full
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    state = guard;
-                }
-                _ => break,
-            }
+            state = self.shared.wait(state, Side::Sender, deadline);
+        }
+        if !state.receiver_alive {
+            return Err(SendTimeoutError::Closed(value));
         }
         state.queue.push_back(value);
-        drop(state);
-        self.shared.ready.notify_one();
+        self.shared.pushed(state, 1);
         Ok(())
     }
 }
@@ -380,14 +589,10 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut state = self.shared.lock();
         state.senders -= 1;
-        let disconnected = state.senders == 0;
-        // Signal *while the lock's release is ordered after the count
-        // update*: a receiver blocked in `wait` re-acquires the lock and
-        // re-checks `senders` before sleeping again, so this cannot race
-        // into a lost wakeup.
-        drop(state);
-        if disconnected {
-            self.shared.ready.notify_all();
+        if state.senders == 0 {
+            // The count changed under the lock a parked receiver re-takes
+            // before it re-checks `senders`, so the wakeup cannot be lost.
+            self.shared.disconnected(state, Side::Receiver);
         }
     }
 }
@@ -410,28 +615,13 @@ impl<T> Receiver<T> {
     /// and shed-style producers park *with a deadline* — so consumers
     /// of bounded channels should keep their service stints short).
     pub fn capacity(&self) -> Option<usize> {
-        self.shared.lock().capacity
+        self.shared.capacity
     }
 
     /// Blocks until a message is available or the channel disconnects.
     /// Buffered messages are always drained before [`RecvError`].
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(v) = state.queue.pop_front() {
-                state.popped += 1;
-                self.notify_not_full(&state);
-                return Ok(v);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self
-                .shared
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
     /// Blocks until at least one message is available, then drains the
@@ -474,27 +664,16 @@ impl<T> Receiver<T> {
     pub fn recv_up_to(&self, buf: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
         assert!(max > 0, "recv_up_to cap must be at least 1");
         let mut state = self.shared.lock();
-        loop {
-            if !state.queue.is_empty() {
-                let n = state.queue.len().min(max);
-                buf.extend(state.queue.drain(..n));
-                state.popped += n as u64;
-                let bounded = state.capacity.is_some();
-                drop(state);
-                if bounded {
-                    self.shared.not_full.notify_all();
-                }
-                return Ok(n);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self
-                .shared
-                .ready
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        while self.shared.blocked(&state, Side::Receiver) {
+            state = self.shared.wait(state, Side::Receiver, None);
         }
+        if state.queue.is_empty() {
+            return Err(RecvError);
+        }
+        let n = state.queue.len().min(max);
+        buf.extend(state.queue.drain(..n));
+        self.shared.popped(state, n);
+        Ok(n)
     }
 
     /// Non-blocking receive.
@@ -502,8 +681,7 @@ impl<T> Receiver<T> {
         let mut state = self.shared.lock();
         match state.queue.pop_front() {
             Some(v) => {
-                state.popped += 1;
-                self.notify_not_full(&state);
+                self.shared.popped(state, 1);
                 Ok(v)
             }
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -513,39 +691,38 @@ impl<T> Receiver<T> {
 
     /// Blocks up to `timeout` for a message.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// [`Receiver::recv`] with an optional deadline; `Timeout` only with
+    /// one.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mut state = self.shared.lock();
-        loop {
-            if let Some(v) = state.queue.pop_front() {
-                state.popped += 1;
-                self.notify_not_full(&state);
-                return Ok(v);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
+        while self.shared.blocked(&state, Side::Receiver) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(RecvTimeoutError::Timeout);
-            };
-            let (guard, _timed_out) = self
-                .shared
-                .ready
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            state = guard;
+            }
+            state = self.shared.wait(state, Side::Receiver, deadline);
+        }
+        match state.queue.pop_front() {
+            Some(v) => {
+                self.shared.popped(state, 1);
+                Ok(v)
+            }
+            None => Err(RecvTimeoutError::Disconnected),
         }
     }
 
-    /// Number of messages currently buffered.
+    /// Number of messages currently buffered, read without the queue
+    /// lock: exact while the channel is at rest, and off by at most the
+    /// batches in flight while a send or receive is completing.
     pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.shared.len()
     }
 
-    /// Whether the buffer is currently empty.
+    /// Whether the buffer is currently empty (see [`Receiver::len`]).
     pub fn is_empty(&self) -> bool {
-        self.shared.lock().queue.is_empty()
+        self.shared.len() == 0
     }
 
     /// Total messages ever received through this channel.
@@ -577,28 +754,15 @@ impl<T> Receiver<T> {
     pub fn try_iter(&self) -> TryIter<'_, T> {
         TryIter { receiver: self }
     }
-
-    /// Wakes one sender blocked on a full bounded channel. Signalling
-    /// while still holding the lock is fine: the woken sender re-acquires
-    /// it and re-checks the queue length before proceeding.
-    fn notify_not_full(&self, state: &State<T>) {
-        if state.capacity.is_some() {
-            self.shared.not_full.notify_one();
-        }
-    }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut state = self.shared.lock();
         state.receiver_alive = false;
-        let bounded = state.capacity.is_some();
-        drop(state);
-        if bounded {
-            // Senders blocked on a full channel must observe the dead
-            // receiver and fail out instead of sleeping forever.
-            self.shared.not_full.notify_all();
-        }
+        // Senders blocked on a full channel must observe the dead
+        // receiver and fail out instead of sleeping forever.
+        self.shared.disconnected(state, Side::Sender);
     }
 }
 
@@ -631,19 +795,26 @@ impl<T> fmt::Debug for Monitor<T> {
 }
 
 impl<T> Monitor<T> {
-    /// Number of messages currently buffered.
+    /// Number of messages currently buffered (see [`Receiver::len`]).
     pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.shared.len()
     }
 
-    /// Whether the buffer is currently empty.
+    /// Whether the buffer is currently empty (see [`Receiver::len`]).
     pub fn is_empty(&self) -> bool {
-        self.shared.lock().queue.is_empty()
+        self.shared.len() == 0
     }
 
     /// Total messages ever received through this channel (monotone).
     pub fn popped(&self) -> u64 {
         self.shared.lock().popped
+    }
+
+    /// Condvar notifies this channel has actually made, on either side:
+    /// one per idle period of a consumer that parks, none for one that
+    /// never goes idle (see the module docs).
+    pub fn wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
     }
 }
 
@@ -973,7 +1144,7 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         let mut batch = vec![1, 2, 3];
-        assert_eq!(tx.send_many(&mut batch), Err(SendError(())));
+        assert_eq!(tx.send_many(&mut batch), Err(SendError(3)));
         assert!(batch.is_empty());
     }
 
@@ -986,7 +1157,7 @@ mod tests {
         });
         thread::sleep(Duration::from_millis(20));
         drop(rx);
-        assert_eq!(t.join().unwrap(), Err(SendError(())));
+        assert_eq!(t.join().unwrap(), Err(SendError(9)));
     }
 
     #[test]
@@ -1150,5 +1321,278 @@ mod tests {
             p.join().unwrap();
         }
         assert!(counts.iter().all(|&c| c == 500));
+    }
+
+    // ---- the wait protocol -------------------------------------------
+    //
+    // A test cannot see a thread *spinning*; it can see one parked (the
+    // `Waiters` count, read under the lock) and it can see, afterwards,
+    // whether a notify was needed (`Monitor::wakeups`). "While spinning"
+    // cases therefore race the event against a waiter that has just been
+    // released by a barrier, many times over, and check every outcome.
+
+    /// Threads parked on `side` with no wake on its way to them.
+    fn parked<T>(shared: &Shared<T>, side: Side) -> usize {
+        let mut state = shared.lock();
+        let waiters = state.waiters(side);
+        waiters.parked - waiters.notified
+    }
+
+    fn until(condition: impl Fn() -> bool) {
+        while !condition() {
+            thread::yield_now();
+        }
+    }
+
+    /// Capacity 1, one producer, one consumer: the producer finds the
+    /// channel full and the consumer finds it empty over and over, so
+    /// every kind of wait and wake is crossed many thousands of times.
+    #[test]
+    fn capacity_one_ping_pong_delivers_everything_in_order() {
+        const MESSAGES: u32 = 200_000;
+        let (tx, rx) = bounded(1);
+        let producer = thread::spawn(move || {
+            for i in 0..MESSAGES {
+                tx.send(i).unwrap();
+            }
+        });
+        for i in 0..MESSAGES {
+            assert_eq!(rx.recv(), Ok(i));
+        }
+        producer.join().unwrap();
+        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.popped(), u64::from(MESSAGES));
+        assert_eq!(rx.len(), 0, "the occupancy word is exact at rest");
+    }
+
+    #[test]
+    fn close_wakes_a_parked_receiver_with_one_notify() {
+        let (tx, rx) = unbounded::<i32>();
+        let monitor = rx.monitor();
+        let shared = Arc::clone(&rx.shared);
+        let t = thread::spawn(move || rx.recv());
+        until(|| parked(&shared, Side::Receiver) == 1);
+        drop(tx);
+        assert_eq!(t.join().unwrap(), Err(RecvError));
+        assert_eq!(monitor.wakeups(), 1);
+    }
+
+    #[test]
+    fn close_reaches_a_receiver_that_is_still_spinning() {
+        let mut met_a_spinner = false;
+        for _ in 0..500 {
+            let (tx, rx) = unbounded::<i32>();
+            let monitor = rx.monitor();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let t = {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    rx.recv()
+                })
+            };
+            start.wait();
+            drop(tx);
+            assert_eq!(t.join().unwrap(), Err(RecvError));
+            // No notify ⇒ the receiver was not parked when the sender
+            // went: it met the disconnect on its own.
+            assert!(monitor.wakeups() <= 1);
+            met_a_spinner |= monitor.wakeups() == 0;
+        }
+        assert!(
+            met_a_spinner || !spin_before_park(),
+            "500 immediate closes never beat the park"
+        );
+    }
+
+    #[test]
+    fn receiver_drop_fails_a_parked_sender_with_one_notify() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let monitor = rx.monitor();
+        let shared = Arc::clone(&rx.shared);
+        let t = thread::spawn(move || tx.send(2));
+        until(|| parked(&shared, Side::Sender) == 1);
+        drop(rx);
+        assert_eq!(t.join().unwrap(), Err(SendError(2)));
+        assert_eq!(monitor.wakeups(), 1);
+    }
+
+    #[test]
+    fn receiver_drop_reaches_a_sender_that_is_still_spinning() {
+        let mut met_a_spinner = false;
+        for _ in 0..500 {
+            let (tx, rx) = bounded(1);
+            tx.send(1).unwrap();
+            let monitor = rx.monitor();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let t = {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    tx.send_timeout(2, Duration::from_secs(30))
+                })
+            };
+            start.wait();
+            drop(rx);
+            assert!(matches!(
+                t.join().unwrap(),
+                Err(SendTimeoutError::Closed(2))
+            ));
+            assert!(monitor.wakeups() <= 1);
+            met_a_spinner |= monitor.wakeups() == 0;
+        }
+        assert!(
+            met_a_spinner || !spin_before_park(),
+            "500 immediate drops never beat the park"
+        );
+    }
+
+    /// A deadline inside the spin bound ends the spin: the call must not
+    /// sit out the whole bound first. The fastest of many attempts is
+    /// what the implementation takes when nothing preempts it.
+    #[test]
+    fn send_timeout_shorter_than_the_spin_bound_is_on_time() {
+        let timeout = SPIN / 10;
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let mut fastest = Duration::MAX;
+        for _ in 0..200 {
+            let start = Instant::now();
+            let err = tx.send_timeout(2, timeout).unwrap_err();
+            let took = start.elapsed();
+            assert!(err.is_timeout());
+            assert!(took >= timeout, "gave up after {took:?}");
+            fastest = fastest.min(took);
+        }
+        assert!(
+            fastest < SPIN || !spin_before_park(),
+            "no attempt beat the spin bound: {fastest:?}"
+        );
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1]);
+    }
+
+    /// `send_many` that fills the channel mid-batch hands over what it
+    /// queued before it waits: a receiver parked on the empty channel is
+    /// woken for it, and a probe sees it.
+    #[test]
+    fn send_many_blocked_mid_batch_hands_over_what_it_queued() {
+        let (tx, rx) = bounded(2);
+        let shared = Arc::clone(&rx.shared);
+        let (first_tx, first_rx) = unbounded();
+        let consumer = thread::spawn(move || {
+            let first = rx.recv_timeout(Duration::from_secs(30));
+            first_tx.send(rx.len()).unwrap();
+            let mut rest = Vec::new();
+            while let Ok(v) = rx.recv_timeout(Duration::from_secs(30)) {
+                rest.push(v);
+            }
+            (first, rest)
+        });
+        until(|| parked(&shared, Side::Receiver) == 1);
+        let mut batch: Vec<i32> = (0..10).collect();
+        tx.send_many(&mut batch).unwrap();
+        assert!(batch.is_empty());
+        drop(tx);
+        let (first, rest) = consumer.join().unwrap();
+        assert_eq!(first, Ok(0));
+        assert!(
+            first_rx.recv().unwrap() <= 2,
+            "len() never passes capacity here"
+        );
+        assert_eq!(rest, (1..10).collect::<Vec<_>>());
+    }
+
+    /// A consumer that never goes idle costs no notify at all, on either
+    /// side, bounded or not.
+    #[test]
+    fn no_wakeups_without_a_parked_waiter() {
+        let (tx, rx) = unbounded();
+        for i in 0..1000 {
+            tx.send(i).unwrap();
+        }
+        tx.send_many(&mut (0..1000).collect()).unwrap();
+        assert_eq!(rx.try_iter().count(), 2000);
+        assert_eq!(rx.monitor().wakeups(), 0);
+
+        let (tx, rx) = bounded(4);
+        let mut buf = Vec::new();
+        for round in 0..100 {
+            tx.send_many(&mut vec![round; 4]).unwrap();
+            let full = tx.send_timeout(round, Duration::ZERO).unwrap_err();
+            assert!(full.is_timeout());
+            rx.recv().unwrap();
+            assert_eq!(rx.recv_up_to(&mut buf, 8), Ok(3));
+        }
+        drop(tx);
+        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.monitor().wakeups(), 0);
+    }
+
+    /// A consumer that does go idle is woken once per idle period, however
+    /// many messages arrive before it runs again.
+    #[test]
+    fn one_wakeup_per_idle_period() {
+        const PERIODS: u64 = 20;
+        const BURST: u64 = 50;
+        let (tx, rx) = unbounded::<u64>();
+        let monitor = rx.monitor();
+        let shared = Arc::clone(&rx.shared);
+        // The consumer takes one message, then holds still until told the
+        // burst is over, so each period has exactly one park.
+        let (resume, resumed) = unbounded::<()>();
+        let consumer = thread::spawn(move || {
+            let mut seen = 0;
+            while rx.recv().is_ok() {
+                resumed.recv().unwrap();
+                seen += 1 + rx.try_iter().count() as u64;
+            }
+            seen
+        });
+        for period in 1..=PERIODS {
+            until(|| parked(&shared, Side::Receiver) == 1);
+            for i in 0..BURST {
+                tx.send(i).unwrap();
+            }
+            assert_eq!(monitor.wakeups(), period);
+            resume.send(()).unwrap();
+        }
+        drop(tx);
+        assert_eq!(consumer.join().unwrap(), PERIODS * BURST);
+        // The disconnect found the consumer parked, or did not.
+        assert!(monitor.wakeups() <= PERIODS + 1);
+    }
+
+    /// Pool workers compete on one `Receiver` for announced shards: every
+    /// parked one must be reachable, by a message and by the disconnect.
+    #[test]
+    fn several_parked_receivers_are_all_woken() {
+        let (tx, rx) = unbounded::<u32>();
+        let rx = Arc::new(rx);
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv() {
+                        got.push(v);
+                    }
+                    got
+                })
+            })
+            .collect();
+        until(|| parked(&rx.shared, Side::Receiver) == 3);
+        for i in 0..3 {
+            tx.send(i).unwrap();
+        }
+        until(|| rx.popped() == 3);
+        until(|| parked(&rx.shared, Side::Receiver) == 3);
+        drop(tx);
+        let mut got: Vec<u32> = workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2]);
     }
 }

@@ -52,7 +52,9 @@ impl Hasher for FnvHasher {
     }
 }
 
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+/// A `HashMap` hashed with [`FnvHasher`]: for short keys the program
+/// itself chose (interned names, object ids), never for outside input.
+pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// One published table generation: ids are indices into `names`.
 struct Snapshot {

@@ -15,9 +15,12 @@
 //!
 //! Eight modules:
 //!
-//! * [`channel`] — an unbounded MPSC channel with the `crossbeam::channel`
-//!   subset the event log uses (`send`/`send_timeout`/`recv`/`try_recv`/
-//!   `recv_timeout`, iterator draining, disconnect semantics);
+//! * [`channel`] — an MPSC channel, unbounded or bounded, with the
+//!   `crossbeam::channel` subset the event log uses (`send`/`send_many`/
+//!   `send_timeout`/`recv`/`recv_up_to`/`try_recv`/`recv_timeout`,
+//!   iterator draining, disconnect semantics) and a wait protocol that
+//!   makes no system call in steady state (notifies gated on a parked
+//!   waiter, a bounded spin before parking);
 //! * [`fault`] — a deterministic, seed-replayable failpoint framework
 //!   (named injection sites, panic/delay/drop actions) so the pipeline's
 //!   degradation paths can be exercised on production code;

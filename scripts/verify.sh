@@ -22,6 +22,19 @@ benchmark/run.sh all --smoke >/dev/null
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
 
+# The channel's wait protocol has two paths: a blocked thread spins
+# before it parks, unless the process has one core. The suite above ran
+# the channel tests with every core; run them again, optimised and pinned
+# to one CPU, so the park path — not only the spin path — is exercised on
+# its own.
+echo "==> channel wait protocol, release, one CPU"
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test --release --offline -q -p vyrd-rt channel >/dev/null
+else
+    echo "    -> taskset not available; ran unpinned only"
+    cargo test --release --offline -q -p vyrd-rt channel >/dev/null
+fi
+
 # Smoke-run every example: each is a runnable walkthrough that must
 # exit 0 (the violation demos report their detection and succeed).
 echo "==> example smoke runs"
@@ -97,9 +110,14 @@ test -f results/BENCH_check_throughput.json
 # scenario with metrics and spans on, then replays the pinned-seed fault
 # matrix and exits non-zero unless every metric agrees exactly with the
 # Degradation ledger and log stats (lag >= 0 is among its own checks).
-echo "==> metrics export + fault-matrix reconciliation (stats)"
-VYRD_FAULT_SEED=3405691582 \
-    target/release/vyrd stats >/dev/null
+# Five times over: the conservation identity `appended == routed + shed`
+# used to miss once in a dozen runs, when a checker hung up while the
+# replay was still appending, and one run does not gate that.
+echo "==> metrics export + fault-matrix reconciliation (stats x5)"
+for _ in 1 2 3 4 5; do
+    VYRD_FAULT_SEED=3405691582 \
+        target/release/vyrd stats >/dev/null
+done
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json

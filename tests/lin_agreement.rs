@@ -216,12 +216,23 @@ fn injected_routing_drops_degrade_and_never_forge() {
         drop(_scope);
         let d = &all.merged.degradation;
         assert_eq!(
-            d.sheds(),
+            d.injected_sheds(),
             DROPS,
-            "{}: every dropped event must be counted: {}",
+            "{}: every dropped event must be counted, once: {}",
             scenario.name(),
             all.merged
         );
+        // A checker that stops at the hole hangs up, and what the router
+        // then cannot deliver to it is shed as well — nothing else is.
+        assert_eq!(d.sheds(), d.shed_windows.iter().map(|w| w.events).sum::<u64>());
+        for w in &d.shed_windows {
+            assert!(
+                w.events == w.injected || w.abandoned_at_seq.is_some(),
+                "{}: sheds beyond the injected ones without a hang-up: {}",
+                scenario.name(),
+                all.merged
+            );
+        }
         assert_ne!(
             all.merged.verdict(),
             Verdict::Pass,

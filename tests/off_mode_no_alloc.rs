@@ -293,7 +293,20 @@ fn shed_metric_reconciles_with_degradation_ledger() {
 
     let snap = metrics::snapshot();
     let ledger = report.merged.degradation.sheds();
-    assert_eq!(ledger, DROPS, "fault plan shed exactly its budget");
+    assert_eq!(
+        snap.counter("shard.sheds_injected"),
+        Some(DROPS),
+        "fault plan shed exactly its budget"
+    );
+    assert_eq!(report.merged.degradation.injected_sheds(), DROPS, "and the ledger says so too");
+    // A checker that stops at the hole hangs up; what the router then
+    // cannot deliver to it is the only other thing shed (and metered).
+    assert_eq!(snap.counter("shard.sheds_timeout"), Some(0), "nothing timed out");
+    assert_eq!(
+        snap.counter("shard.sheds_abandoned"),
+        Some(ledger - DROPS),
+        "total == injected + abandoned"
+    );
     assert_eq!(
         snap.counter("shard.events_shed"),
         Some(ledger),
