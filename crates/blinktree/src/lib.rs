@@ -39,6 +39,7 @@ pub use tree::{BLinkTree, BLinkTreeHandle, BLinkVariant};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeContent;
     use vyrd_core::checker::Checker;
     use vyrd_core::log::{EventLog, LogMode};
     use vyrd_core::violation::Report;
@@ -53,6 +54,89 @@ mod tests {
 
     fn check_view(log: &EventLog) -> Report {
         Checker::view(BLinkSpec::new(), BLinkReplayer::new()).check_events(log.snapshot())
+    }
+
+    #[test]
+    fn incremental_compare_sees_a_record_filed_under_another_key() {
+        use vyrd_core::checker::CheckerOptions;
+        use vyrd_core::violation::Violation;
+        use vyrd_core::{Event, ObjectId, ThreadId, Value, VarId};
+
+        // A corrupt implementation: Insert(5, 50) files its record under
+        // key 7, and an unproductive Delete(7) then rewrites that record.
+        // `view_I` lists the record under the key of the leaf entry that
+        // points at it, so the rewrite moves the entry of key 5.
+        let (tid, object) = (ThreadId(0), ObjectId::DEFAULT);
+        let call = |method: &str, args: &[i64]| Event::Call {
+            tid,
+            object,
+            method: method.into(),
+            args: args.iter().map(|&a| Value::from(a)).collect(),
+        };
+        let write = |space: &'static str, id: i64, content: NodeContent| Event::Write {
+            tid,
+            object,
+            var: VarId::new(space, id),
+            value: match space {
+                "leaf" => content.encode_leaf(),
+                _ => content.encode_data(),
+            },
+        };
+        let record = |data, version| NodeContent::Data {
+            key: 7,
+            data,
+            version,
+        };
+        let ret = |method: &str, ret: Value| Event::Return {
+            tid,
+            object,
+            method: method.into(),
+            ret,
+        };
+        let leaf = NodeContent::Leaf {
+            entries: vec![(5, 10)],
+            high: i64::MAX,
+            right: None,
+        };
+        let events = vec![
+            call("Insert", &[5, 50]),
+            write("data", 10, record(50, 1)),
+            write("leaf", 0, leaf),
+            Event::Commit { tid, object },
+            ret("Insert", Value::Unit),
+            call("Delete", &[7]),
+            write("data", 10, record(60, 2)),
+            Event::Commit { tid, object },
+            ret("Delete", Value::from(false)),
+        ];
+        let entry = |data: i64, version: u64| {
+            Some(Value::List(vec![Value::pair(
+                Value::from(data),
+                Value::from(version),
+            )]))
+        };
+        for full_view_compare in [false, true] {
+            let report = Checker::view(BLinkSpec::new(), BLinkReplayer::new())
+                .with_options(CheckerOptions {
+                    full_view_compare,
+                    ..CheckerOptions::default()
+                })
+                .check_events(events.clone());
+            match report.violation {
+                Some(Violation::ViewMismatch {
+                    key,
+                    view_i,
+                    view_s,
+                    commit_index,
+                    ..
+                }) => {
+                    assert_eq!(key, Value::from(5i64));
+                    assert_eq!((view_i, view_s), (entry(60, 2), entry(50, 1)));
+                    assert_eq!(commit_index, 1);
+                }
+                other => panic!("full_view_compare={full_view_compare}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -405,6 +405,14 @@ struct PendingExec {
     explicit_commit: Option<u64>,
 }
 
+impl PendingExec {
+    /// The oldest state an observer's return can still be judged at: its
+    /// explicit commit's, else its window's start.
+    fn oldest_state(&self) -> u64 {
+        self.explicit_commit.unwrap_or(self.window_start)
+    }
+}
+
 impl<S: Spec, R: Replayer> std::fmt::Debug for Checker<S, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Checker")
@@ -448,12 +456,14 @@ pub struct Checker<S: Spec, R: Replayer = NoopReplayer> {
     commits_applied: u64,
     /// Snapshots of the specification state `s_j` (after `j` commits),
     /// kept while observer executions are in flight (§4.3). Retention is
-    /// *strided*: an anchor is pinned at every observer window start, and
-    /// while windows stay open only every `stride`-th commit state is
-    /// materialized — the states in between are reconstructed on demand
-    /// by replaying `commit_log` forward from the nearest retained
-    /// snapshot. This replaces the old per-commit O(|state|) clone with
-    /// an O(1) signature record per commit.
+    /// *strided*: a window's start state is anchored when the first
+    /// commit lands inside it (a copy of the state that commit
+    /// overwrites), and while windows stay open only every `stride`-th
+    /// commit state is materialized — the states in between are
+    /// reconstructed on demand by replaying `commit_log` forward from
+    /// the nearest retained snapshot. A window no commit lands in costs
+    /// nothing; a commit no window opened just before costs an O(1)
+    /// signature record, not an O(|state|) clone.
     snapshots: BTreeMap<u64, S>,
     /// Signatures of the commits applied while observer windows were
     /// open and full snapshots were being elided: entry `i - commit_log_base`
@@ -901,10 +911,10 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         let kind = self.spec.kind(&method);
         if kind == MethodKind::Observer {
             self.observers_inflight += 1;
-            // Snapshot s_{window_start}: the state the data structure was
-            // in when the observer was called (the "last commit action
-            // before a_call" state of §4.3).
-            self.ensure_snapshot(self.commits_applied);
+            // s_{window_start}: the state the data structure was in when
+            // the observer was called (the "last commit action before
+            // a_call" state of §4.3).
+            self.pin_digest();
         }
         self.pending.insert(
             tid,
@@ -919,26 +929,19 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         );
     }
 
-    /// Pins the state `s_index` (which must be the *live* state — every
-    /// call site passes `self.commits_applied`) for later window checks.
-    ///
-    /// Digest-first, in every mode: a spec providing
-    /// [`Spec::observation_digest`] retains the O(1) digest instead of a
-    /// clone (the Lin fast path of PR 7, generalized — the digest
-    /// contract guarantees `accepts_observation_digest` agrees with
-    /// `accepts_observation`). Only digest-less specs pay for a full
-    /// snapshot clone.
-    fn ensure_snapshot(&mut self, index: u64) {
-        if self.digests.contains_key(&index) {
-            return;
-        }
-        if let Some(digest) = self.spec.observation_digest() {
-            self.digests.insert(index, digest);
-            return;
-        }
-        if let std::collections::btree_map::Entry::Vacant(e) = self.snapshots.entry(index) {
-            e.insert(self.spec.clone());
-            self.stats.snapshots_taken += 1;
+    /// Pins the live state `s_{commits_applied}` for later window checks
+    /// when that costs O(1): a spec providing
+    /// [`Spec::observation_digest`] retains the digest, in every mode
+    /// (the Lin fast path of PR 7, generalized — the digest contract
+    /// guarantees `accepts_observation_digest` agrees with
+    /// `accepts_observation`). A digest-less spec pins nothing here: the
+    /// live state *is* the window state until a commit overwrites it, and
+    /// [`Checker::apply_mutator_commit`] copies it only then.
+    fn pin_digest(&mut self) {
+        if !self.digests.contains_key(&self.commits_applied) {
+            if let Some(digest) = self.spec.observation_digest() {
+                self.digests.insert(self.commits_applied, digest);
+            }
         }
     }
 
@@ -955,10 +958,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 // Extension of §4.3: an explicitly annotated observer
                 // commit pins the observation to the current state instead
                 // of the whole call–return window.
-                let index = self.commits_applied;
-                self.ensure_snapshot(index);
+                self.pin_digest();
                 let pending = self.pending.get_mut(&tid).expect("checked above");
-                pending.explicit_commit = Some(index);
+                pending.explicit_commit = Some(self.commits_applied);
             }
             MethodKind::Mutator => {
                 if pending.committed {
@@ -1012,6 +1014,19 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         ret: Value,
     ) {
         let commit_index = self.commits_applied;
+        // Copy-on-first-commit: a window's start state is copied when a
+        // commit is about to overwrite it — here, once for every window
+        // that opened since the last commit — so a window that sees no
+        // commit never costs a clone. (A digest spec has pinned one
+        // digest per open window and needs no snapshot at all.)
+        let anchor = (self.observers_inflight > 0
+            && self.digests.is_empty()
+            && !self.snapshots.contains_key(&commit_index)
+            && self
+                .pending
+                .values()
+                .any(|p| p.kind == MethodKind::Observer && p.oldest_state() == commit_index))
+        .then(|| self.spec.clone());
         let effect = match self.spec.apply(&method, &args, &ret) {
             Ok(effect) => effect,
             Err(err) => {
@@ -1033,6 +1048,10 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 return;
             }
         };
+        if let Some(anchor) = anchor {
+            self.snapshots.insert(commit_index, anchor);
+            self.stats.snapshots_taken += 1;
+        }
         self.commits_applied += 1;
         self.stats.commits_applied += 1;
         if self.options.record_witness {
@@ -1102,7 +1121,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             self.stride *= 2;
         }
         if (self.commits_applied - self.commit_log_base).is_multiple_of(self.stride) {
-            self.ensure_snapshot(self.commits_applied);
+            self.snapshots
+                .insert(self.commits_applied, self.spec.clone());
+            self.stats.snapshots_taken += 1;
         }
     }
 
@@ -1420,14 +1441,15 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             .pending
             .values()
             .filter(|p| p.kind == MethodKind::Observer)
-            .map(|p| p.explicit_commit.unwrap_or(p.window_start))
+            .map(PendingExec::oldest_state)
             .min()
             .unwrap_or(u64::MAX);
         self.snapshots = self.snapshots.split_off(&min_start);
         self.digests = self.digests.split_off(&min_start);
         // Signatures below the oldest reachable window start can never
-        // be replayed across again (every window holds an anchor at its
-        // start, so replay never reaches below `min_start`).
+        // be replayed across again (every window a commit has landed in
+        // holds an anchor at its start, so replay never reaches below
+        // `min_start`).
         while self.commit_log_base < min_start {
             if self.commit_log.pop_front().is_none() {
                 self.commit_log_base = min_start;

@@ -64,6 +64,28 @@ impl Spec for RegSpec {
         let k = key.as_int()?;
         self.regs.get(&k).map(|&v| Value::from(v))
     }
+
+    fn save_state(&self) -> Option<Value> {
+        Some(
+            self.regs
+                .iter()
+                .map(|(&k, &v)| Value::pair(Value::from(k), Value::from(v)))
+                .collect(),
+        )
+    }
+
+    fn restore_state(&mut self, state: &Value) -> Result<(), SpecError> {
+        let malformed = || SpecError::new("malformed register state");
+        self.regs.clear();
+        for entry in state.as_list().ok_or_else(malformed)? {
+            let (k, v) = entry.as_pair().ok_or_else(malformed)?;
+            self.regs.insert(
+                k.as_int().ok_or_else(malformed)?,
+                v.as_int().ok_or_else(malformed)?,
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Replayer: registers are written through `VarId::new("reg", k)`.
@@ -605,9 +627,186 @@ fn snapshots_are_garbage_collected() {
     }
     let report = io_check(events);
     assert!(report.passed());
-    // One snapshot per observer registration; no snapshot per commit
-    // because no observer spans a commit.
-    assert_eq!(report.stats.snapshots_taken, 50);
+    // No commit lands inside any of the 50 windows, so each observer is
+    // judged against the live state and nothing is ever copied. (This
+    // read 50 while every observer call cloned the spec up front; that
+    // clone is the cost copy-on-first-commit anchors removed.)
+    assert_eq!(report.stats.snapshots_taken, 0);
+}
+
+/// `n` Puts by thread 0, register 1 counting up from `from`: after them
+/// `commits_applied` has advanced by `n` and register 1 holds `from + n - 1`.
+fn puts(from: i64, n: i64) -> Vec<Event> {
+    (from..from + n).flat_map(|v| put(0, 1, v)).collect()
+}
+
+fn continue_check(events: Vec<Event>) -> crate::violation::Report {
+    Checker::io(RegSpec::default())
+        .with_options(CheckerOptions {
+            stop_at_first_violation: false,
+            ..CheckerOptions::default()
+        })
+        .check_events(events)
+}
+
+#[test]
+fn staggered_windows_keep_their_own_start_states_across_gc() {
+    // A's window is [5..=7], B's [6..=8]. Neither call copies anything:
+    // commit 5 anchors s_5 for A, commit 6 anchors s_6 for B. When A
+    // returns, GC drops everything below B's start — s_6 and the
+    // signatures from 6 on must survive it, or B cannot be judged.
+    let trace = |b_saw: i64| {
+        let mut events = puts(1, 5); // s_5: reg 1 = 5
+        events.push(call(8, "Get", &[1])); // A opens at 5
+        events.extend(puts(6, 1)); // commit 5 -> s_6: reg 1 = 6
+        events.push(call(9, "Get", &[1])); // B opens at 6
+        events.extend(puts(7, 1)); // commit 6 -> s_7
+        events.push(ret(8, "Get", Value::from(5i64))); // A resolves at s_5; GC
+        events.extend(puts(8, 1)); // commit 7 -> s_8
+        events.push(ret(9, "Get", Value::from(b_saw)));
+        events
+    };
+    let at_start = io_check(trace(6));
+    assert!(at_start.passed(), "B saw s_6: {at_start}");
+    assert_eq!(at_start.stats.snapshots_taken, 2, "one anchor per window");
+    assert_eq!(at_start.stats.snapshot_replays, 0);
+    let inside = io_check(trace(7));
+    assert!(inside.passed(), "B saw s_7: {inside}");
+    assert_eq!(
+        inside.stats.snapshot_replays, 1,
+        "s_7 is s_6 plus signature 6"
+    );
+    // s_5 is below B's window: A's anchor must not widen it.
+    match io_check(trace(5)).violation.expect("5 is not in [6..=8]") {
+        Violation::ObserverUnjustified {
+            window_start,
+            window_end,
+            ..
+        } => assert_eq!((window_start, window_end), (6, 8)),
+        v => panic!("wrong violation {v}"),
+    }
+}
+
+#[test]
+fn explicit_observer_commit_survives_later_commits() {
+    // The observer pins s_2 with an explicit commit and pins no copy of
+    // it; three commits then overwrite the live state before it returns.
+    let trace = |saw: i64| {
+        let mut events = puts(1, 2); // s_2: reg 1 = 2
+        events.push(call(9, "Get", &[1]));
+        events.push(commit(9)); // pinned to s_2
+        events.extend(puts(3, 3)); // s_5: reg 1 = 5
+        events.push(ret(9, "Get", Value::from(saw)));
+        events
+    };
+    let report = io_check(trace(2));
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.stats.snapshots_taken, 1);
+    for overwritten_or_later in [3, 5] {
+        match io_check(trace(overwritten_or_later))
+            .violation
+            .expect("pinned to s_2")
+        {
+            Violation::ObserverUnjustified {
+                window_start,
+                window_end,
+                ..
+            } => assert_eq!((window_start, window_end), (2, 2)),
+            v => panic!("wrong violation {v}"),
+        }
+    }
+}
+
+#[test]
+fn a_rejected_commit_inside_a_window_leaves_it_resolvable() {
+    // The spec refuses a commit while the window is open and
+    // un-anchored: no state index is consumed, and the commits after it
+    // still anchor and replay the window correctly.
+    let trace = |saw: i64| {
+        let mut events = puts(1, 1); // s_1: reg 1 = 1
+        events.push(call(9, "Get", &[1])); // opens at 1
+        events.extend([
+            call(2, "Frobnicate", &[1]),
+            commit(2),
+            ret(2, "Frobnicate", Value::Unit),
+        ]);
+        events.extend(puts(2, 2)); // s_3: reg 1 = 3
+        events.push(ret(9, "Get", Value::from(saw)));
+        events
+    };
+    for in_window in [1, 2, 3] {
+        let report = continue_check(trace(in_window));
+        assert_eq!(
+            report.violation.as_ref().map(Violation::category),
+            Some("spec-rejected-commit"),
+            "saw {in_window}: only the rejection is reported: {report}"
+        );
+        assert_eq!(report.stats.commits_applied, 3);
+        assert_eq!(
+            report.stats.methods_completed, 5,
+            "the observer was justified"
+        );
+        assert_eq!(report.stats.snapshots_taken, 1);
+    }
+    // An observation outside [1..=3] is not: the observer does not complete.
+    assert_eq!(continue_check(trace(0)).stats.methods_completed, 4);
+    // Stop-at-first mode reports the rejection where it happens.
+    let report = io_check(trace(2));
+    match report.violation.expect("must fail") {
+        Violation::SpecRejectedCommit { commit_index, .. } => assert_eq!(commit_index, 1),
+        v => panic!("wrong violation {v}"),
+    }
+}
+
+#[test]
+fn checkpoint_with_an_unanchored_window_resumes_identically() {
+    // Saved while an observer is in flight and nothing has been copied
+    // for it; the commit that needs the anchor lands after the restore.
+    let mut events = puts(1, 3);
+    events.push(call(9, "Get", &[1]));
+    let resume_at = events.len();
+    events.extend(puts(4, 2));
+    events.push(ret(9, "Get", Value::from(4i64))); // s_4, mid-window
+    events.extend(get(8, 1, 5));
+
+    let uninterrupted = io_check(events.clone());
+    assert!(uninterrupted.passed(), "{uninterrupted}");
+    assert!(uninterrupted.stats.snapshot_replays >= 1);
+
+    let mut first = Checker::io(RegSpec::default());
+    for event in &events[..resume_at] {
+        first.feed(event.clone());
+    }
+    let state = first.save_state().expect("RegSpec checkpoints");
+    assert_eq!(
+        first.into_report().stats.snapshots_taken,
+        0,
+        "un-anchored at the save"
+    );
+    let mut resumed = Checker::io(RegSpec::default());
+    resumed.restore_state(&state).unwrap();
+    for event in &events[resume_at..] {
+        resumed.feed(event.clone());
+    }
+    let resumed = resumed.into_report();
+    assert_eq!(resumed.verdict(), uninterrupted.verdict());
+    assert_eq!(resumed.stats, uninterrupted.stats);
+
+    // The same cut with an observation no window state justifies.
+    let mut bad = events.clone();
+    let ret_at = bad.len() - 3;
+    bad[ret_at] = ret(9, "Get", Value::from(9i64));
+    let mut resumed = Checker::io(RegSpec::default());
+    resumed.restore_state(&state).unwrap();
+    for event in &bad[resume_at..] {
+        resumed.feed(event.clone());
+    }
+    let (resumed, whole) = (resumed.into_report(), io_check(bad));
+    assert_eq!(resumed.violation, whole.violation);
+    assert_eq!(
+        whole.violation.as_ref().map(Violation::category),
+        Some("observer-unjustified")
+    );
 }
 
 #[test]

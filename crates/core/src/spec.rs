@@ -88,7 +88,11 @@ impl SpecEffect {
 /// A method-atomic, deterministic executable specification.
 ///
 /// Implementations must be `Clone` because the observer-window check (§4.3)
-/// snapshots specification states while observer methods are in flight.
+/// needs the states an in-flight observer may have seen after commits have
+/// overwritten them: the checker copies a window's start state when the
+/// first commit inside it is about to overwrite that state (and a strided
+/// few after it), and rebuilds the rest by re-applying recorded commits to
+/// a copy. An observer whose window holds no commit costs no clone.
 ///
 /// # Examples
 ///

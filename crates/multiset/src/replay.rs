@@ -167,8 +167,10 @@ impl Replayer for SlotReplayer {
 /// the specification has). `view_I` is computed by an in-order traversal,
 /// mirroring the paper's leaf traversal for the B-link tree (§7.2.4).
 ///
-/// Incrementality: while the tree *structure* is unchanged, count updates
-/// are tracked per key; any structural write falls back to a full
+/// Incrementality (§6.4): while the tree *structure* is unchanged, the
+/// traversal's result is kept — which nodes are reachable and each key's
+/// total — and a count update to a reachable node adjusts its key's total
+/// in place; any structural write drops it and falls back to a full
 /// comparison (`take_dirty` → `None`).
 #[derive(Debug, Default)]
 pub struct BstReplayer {
@@ -179,6 +181,13 @@ pub struct BstReplayer {
     root: Option<i64>,
     dirty: BTreeSet<i64>,
     structure_changed: bool,
+    /// [`BstReplayer::traverse`]'s result, kept current by count writes;
+    /// `None` from a structural write until the next incremental commit.
+    /// Derived state: not part of a checkpoint.
+    reach: Option<(BTreeSet<i64>, BTreeMap<i64, u64>)>,
+    /// Nodes traversed, for the test that pins what a check costs.
+    #[cfg(test)]
+    visits: std::cell::Cell<u64>,
 }
 
 impl BstReplayer {
@@ -187,7 +196,9 @@ impl BstReplayer {
         BstReplayer::default()
     }
 
-    fn reachable_counts(&self) -> BTreeMap<i64, u64> {
+    /// The in-order traversal: the nodes reachable from the root, and per
+    /// key the sum of their positive counts.
+    fn traverse(&self) -> (BTreeSet<i64>, BTreeMap<i64, u64>) {
         let mut out = BTreeMap::new();
         let mut stack = Vec::new();
         if let Some(root) = self.root {
@@ -201,6 +212,8 @@ impl BstReplayer {
                 // will mismatch and be reported.
                 continue;
             }
+            #[cfg(test)]
+            self.visits.set(self.visits.get() + 1);
             if let (Some(&key), Some(&count)) = (self.keys.get(&id), self.counts.get(&id)) {
                 if count > 0 {
                     *out.entry(key).or_insert(0) += count;
@@ -212,7 +225,7 @@ impl BstReplayer {
                 }
             }
         }
-        out
+        (visited, out)
     }
 }
 
@@ -220,53 +233,64 @@ impl Replayer for BstReplayer {
     fn apply_write(&mut self, var: &VarId, value: &Value) {
         let id = var.index();
         match var.space() {
-            "bst.key" => {
-                self.keys.insert(id, value.as_int().unwrap_or(0));
-                self.structure_changed = true;
-            }
             "bst.count" => {
                 let count = value.as_int().unwrap_or(0).max(0) as u64;
-                self.counts.insert(id, count);
+                let old = self.counts.insert(id, count).unwrap_or(0);
                 if let Some(&key) = self.keys.get(&id) {
                     self.dirty.insert(key);
+                    if let Some((reachable, sums)) = &mut self.reach {
+                        if reachable.contains(&id) {
+                            match sums.get(&key).copied().unwrap_or(0) + count - old {
+                                0 => sums.remove(&key),
+                                sum => sums.insert(key, sum),
+                            };
+                        }
+                    }
                 }
+                return; // the one write that leaves the structure alone
+            }
+            "bst.key" => {
+                self.keys.insert(id, value.as_int().unwrap_or(0));
             }
             "bst.left" => {
                 self.left.insert(id, value.as_int());
-                self.structure_changed = true;
             }
             "bst.right" => {
                 self.right.insert(id, value.as_int());
-                self.structure_changed = true;
             }
-            "bst.root" => {
-                self.root = value.as_int();
-                self.structure_changed = true;
-            }
+            "bst.root" => self.root = value.as_int(),
             other => panic!("BstReplayer: unknown variable space {other:?}"),
         }
+        self.structure_changed = true;
+        self.reach = None;
     }
 
     fn view(&self) -> View {
-        self.reachable_counts()
+        self.traverse()
+            .1
             .into_iter()
             .map(|(x, n)| (Value::from(x), Value::from(n)))
             .collect()
     }
 
     fn view_of(&self, key: &Value) -> Option<Value> {
-        // Reachability makes per-key extraction as costly as a traversal;
-        // keep a straightforward implementation (the dirty protocol below
-        // falls back to full comparison whenever structure changed).
         let x = key.as_int()?;
-        let counts = self.reachable_counts();
-        counts.get(&x).map(|&n| Value::from(n))
+        let sum = match &self.reach {
+            Some((_, sums)) => sums.get(&x).copied(),
+            // A structural write since the last incremental commit: that
+            // commit compares in full, so only other callers come here.
+            None => self.traverse().1.get(&x).copied(),
+        };
+        sum.map(Value::from)
     }
 
     fn take_dirty(&mut self) -> Option<Vec<Value>> {
         if std::mem::take(&mut self.structure_changed) {
             self.dirty.clear();
             return None; // full comparison
+        }
+        if self.reach.is_none() {
+            self.reach = Some(self.traverse());
         }
         Some(
             std::mem::take(&mut self.dirty)
@@ -337,6 +361,7 @@ impl Replayer for BstReplayer {
         self.root = root_v.as_int();
         self.dirty = dirty;
         self.structure_changed = structure_v.as_bool().ok_or_else(malformed)?;
+        self.reach = None;
         Ok(())
     }
 }
@@ -344,6 +369,7 @@ impl Replayer for BstReplayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vyrd_rt::rng::Rng;
 
     fn w(r: &mut impl Replayer, space: &str, index: i64, value: Value) {
         r.apply_write(&VarId::new(space, index), &value);
@@ -523,6 +549,112 @@ mod tests {
         let mut r = BstReplayer::new();
         assert!(r.restore_state(&Value::Unit).is_err());
         assert!(r.restore_state(&Value::List(vec![Value::Unit; 3])).is_err());
+    }
+
+    /// One random write over ten node ids and six keys. Nothing keeps
+    /// the tree well-formed: links point at the node itself or an
+    /// ancestor (cycles), at ids nothing else ever writes (dangling),
+    /// two nodes carry one key, whole subtrees are written while
+    /// unreachable, and a node's count can arrive before its key.
+    fn random_bst_write(r: &mut BstReplayer, rng: &mut Rng) {
+        let id = rng.gen_range(1..10i64);
+        let link = |rng: &mut Rng| match rng.gen_range(0..3u8) {
+            0 => Value::Unit,
+            _ => Value::from(rng.gen_range(1..12i64)),
+        };
+        // Mostly counts, so runs of them land between structural writes
+        // and the kept traversal is adjusted, not only rebuilt.
+        match rng.gen_range(0..10u8) {
+            0 => w(r, "bst.key", id, Value::from(rng.gen_range(0..6i64))),
+            1 => w(r, "bst.left", id, link(rng)),
+            2 => w(r, "bst.right", id, link(rng)),
+            3 => w(r, "bst.root", 0, link(rng)),
+            _ => w(r, "bst.count", id, Value::from(rng.gen_range(0..3i64))),
+        }
+    }
+
+    #[test]
+    fn bst_incremental_answers_match_the_whole_walk() {
+        let (mut incremental, mut full) = (0, 0);
+        for seed in 0..300 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut r = BstReplayer::new();
+            let mut before = r.view();
+            for batch in 0..80 {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    random_bst_write(&mut r, &mut rng);
+                }
+                let after = r.view();
+                let agrees = |r: &BstReplayer, when: &str| {
+                    for k in 0..6i64 {
+                        let key = Value::from(k);
+                        assert_eq!(
+                            r.view_of(&key).as_ref(),
+                            after.get(&key),
+                            "seed {seed} batch {batch} key {k} {when} take_dirty"
+                        );
+                    }
+                };
+                agrees(&r, "before");
+                match r.take_dirty() {
+                    None => full += 1,
+                    Some(dirty) => {
+                        incremental += 1;
+                        for moved in before.diff_keys(&after) {
+                            assert!(
+                                dirty.contains(&moved),
+                                "seed {seed} batch {batch}: entry {moved} changed, dirty {dirty:?}"
+                            );
+                        }
+                    }
+                }
+                agrees(&r, "after");
+                before = after;
+            }
+        }
+        assert!(
+            incremental > 2000 && full > 2000,
+            "{incremental} incremental, {full} full"
+        );
+    }
+
+    /// Nodes traversed by 100 × (rewrite one node's count, take the dirty
+    /// set, read the key's entry) on a tree of `keys` keys.
+    fn bst_overwrite_cost(keys: i64) -> u64 {
+        let mut r = BstReplayer::new();
+        // Node `k + 1` holds key `k`; a right spine is as good a shape
+        // as any for counting visits.
+        for k in 0..keys {
+            link(&mut r, k + 1, k, 1);
+            if k > 0 {
+                w(&mut r, "bst.right", k, Value::from(k + 1));
+            }
+        }
+        w(&mut r, "bst.root", 0, Value::from(1i64));
+        assert_eq!(r.take_dirty(), None, "structure changed");
+        assert_eq!(
+            r.take_dirty(),
+            Some(vec![]),
+            "the one traversal that is kept"
+        );
+        assert_eq!(r.view().len() as i64, keys);
+        r.visits.set(0);
+        for i in 0..100i64 {
+            let key = i * 37 % keys;
+            w(&mut r, "bst.count", key + 1, Value::from(i + 2));
+            assert_eq!(r.take_dirty(), Some(vec![Value::from(key)]));
+            assert_eq!(
+                r.view_of(&Value::from(key)),
+                Some(Value::from(i as u64 + 2))
+            );
+        }
+        r.visits.get()
+    }
+
+    #[test]
+    fn bst_count_overwrites_traverse_nothing_whatever_the_tree_holds() {
+        assert_eq!(bst_overwrite_cost(64), 0);
+        assert_eq!(bst_overwrite_cost(4096), 0);
     }
 
     #[test]

@@ -19,8 +19,32 @@ cargo build --workspace --release --offline
 echo "==> benchmark pre-flight (benchmark/run.sh all --smoke)"
 benchmark/run.sh all --smoke >/dev/null
 
+# The smoke divides every size by 20 (its BLinkTree cell is 200 calls),
+# so it cannot see a verdict path that has gone back to costing O(state)
+# per commit, and it does not run the frozen package's own suite. Two
+# more pre-flights, both through the package's own manifest into this
+# workspace's target/: its tests, which pin the metric names and what
+# every workload emits; and the claim workload at full size for one
+# second through the exact BENCHMARK.json command, which must exit 0
+# (every Correct gate and Buggy canary green, no repetition hung).
+echo "==> benchmark package tests (release)"
+CARGO_TARGET_DIR=target cargo test --release --offline -q \
+    --manifest-path benchmark/Cargo.toml >/dev/null
+echo "==> benchmark full-size claim workload (offline_view, 1 s)"
+CARGO_TARGET_DIR=target cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml --bin vyrd-benchmark -- \
+    --workload offline_view --seconds 1 --trace 0 >/dev/null
+
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
+
+# What keeps a view check's cost at what the commit touched: each tree
+# replayer's seeded differential test against its own whole walk (corrupt
+# shapes included) and its visit-count guard (100 overwrites read the
+# same number of leaves/nodes at 64 keys and at 4 096), optimised as the
+# benchmark runs them.
+echo "==> replayer differential + scaling guards, release"
+cargo test --release --offline -q -p vyrd-blinktree -p vyrd-multiset --lib replay >/dev/null
 
 # The channel's wait protocol has two paths: a blocked thread spins
 # before it parks, unless the process has one core. The suite above ran

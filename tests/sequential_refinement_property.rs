@@ -10,14 +10,20 @@
 //! names the failing seed on assertion failure, so counterexamples
 //! replay deterministically.
 
-use vyrd::blinktree::{BLinkReplayer, BLinkSpec, BLinkTree, BLinkVariant};
+use vyrd::blinktree::{BLinkSpec, BLinkTree, BLinkVariant};
 use vyrd::core::checker::{Checker, CheckerOptions};
 use vyrd::core::log::{EventLog, LogMode};
+use vyrd::core::{Event, ObjectId, Report};
+use vyrd::harness::scenario::{record_run, CheckKind, Scenario, Variant};
+use vyrd::harness::scenarios::{BLinkTreeScenario, MultisetBstScenario};
+use vyrd::harness::workload::WorkloadConfig;
 use vyrd::javalib::{
     BufferPool, StringBufferReplayer, StringBufferSpec, StringBufferVariant, SyncVector,
     VectorReplayer, VectorSpec, VectorVariant,
 };
-use vyrd::multiset::{ArrayMultiset, FindSlotVariant, MultisetSpec, SlotReplayer};
+use vyrd::multiset::{
+    ArrayMultiset, BstMultiset, BstVariant, FindSlotVariant, MultisetSpec, SlotReplayer,
+};
 use vyrd::rt::rng::Rng;
 use vyrd::storage::{
     clean_matches_chunk, entry_in_exactly_one_list, BoxCache, CacheReplayer, CacheVariant,
@@ -122,9 +128,94 @@ fn blinktree_sequential_runs_refine() {
         let events = log.snapshot();
         let io = Checker::io(BLinkSpec::new()).check_events(events.clone());
         assert!(io.passed(), "io: {io}");
-        let view = Checker::view(BLinkSpec::new(), BLinkReplayer::new()).check_events(events);
+        let (view, full) = incremental_and_full(&BLinkTreeScenario, &events);
         assert!(view.passed(), "view: {view}");
+        assert_eq!(view.violation, full.violation);
     });
+}
+
+#[test]
+fn bst_multiset_sequential_runs_refine() {
+    for_each_seed(5_000, |rng| {
+        let n = rng.gen_range(0..80usize);
+        let log = EventLog::in_memory(LogMode::View);
+        let ms = BstMultiset::new(BstVariant::Correct, log.clone());
+        let h = ms.handle();
+        for _ in 0..n {
+            let x = rng.gen_range(0..12i64);
+            match rng.gen_range(0..8u8) {
+                0..=2 => {
+                    h.insert(x);
+                }
+                3..=4 => {
+                    h.delete(x);
+                }
+                5..=6 => {
+                    h.lookup(x);
+                }
+                // Structural writes in the middle of the run, not only
+                // while the tree grows.
+                _ => h.compress(),
+            }
+        }
+        let events = log.snapshot();
+        let io = Checker::io(MultisetSpec::new()).check_events(events.clone());
+        assert!(io.passed(), "io: {io}");
+        let (view, full) = incremental_and_full(&MultisetBstScenario, &events);
+        assert!(view.passed(), "view: {view}");
+        assert_eq!(view.violation, full.violation);
+    });
+}
+
+/// Checks `events` twice, comparing dirty keys only and comparing whole
+/// views: the §6.4 incremental comparison must reach the same verdict —
+/// the same violation, at the same commit, on the same key.
+fn incremental_and_full(scenario: &dyn Scenario, events: &[Event]) -> (Report, Report) {
+    let check = |full_view_compare| {
+        let options = CheckerOptions {
+            full_view_compare,
+            ..Default::default()
+        };
+        let checkers = scenario
+            .checkers(CheckKind::View, options)
+            .expect("a view scenario");
+        checkers(ObjectId::DEFAULT).check_events(events.to_vec())
+    };
+    (check(false), check(true))
+}
+
+#[test]
+fn incremental_and_full_compare_agree_on_recorded_concurrent_runs() {
+    let scenarios: [&dyn Scenario; 2] = [&BLinkTreeScenario, &MultisetBstScenario];
+    for scenario in scenarios {
+        for variant in [Variant::Correct, Variant::Buggy] {
+            let mut failed = 0;
+            for seed in 0..16u64 {
+                let cfg = WorkloadConfig {
+                    threads: 4,
+                    calls_per_thread: 60,
+                    key_pool: 16,
+                    shrink_pool: true,
+                    internal_task: true,
+                    seed,
+                    pace: None,
+                };
+                let run = record_run(scenario, &cfg, LogMode::View, variant);
+                let (incremental, full) = incremental_and_full(scenario, &run.events);
+                let what = format!("{} {variant:?} seed {seed}", scenario.name());
+                assert_eq!(incremental.violation, full.violation, "{what}");
+                match variant {
+                    Variant::Correct => assert!(incremental.passed(), "{what}: {incremental}"),
+                    Variant::Buggy => failed += u32::from(!incremental.passed()),
+                }
+            }
+            assert!(
+                variant == Variant::Correct || failed > 0,
+                "{}: the bug never manifested in 16 seeds",
+                scenario.name()
+            );
+        }
+    }
 }
 
 #[test]
