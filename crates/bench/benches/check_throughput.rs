@@ -5,28 +5,24 @@
 //!
 //! Both sides check the *same* recorded multi-object traces shard by
 //! shard with the same per-object checkers, so the measured difference
-//! is delivery amortization plus the checker's snapshot-elision work on
-//! the very same event sequence. The `bytes/s` figures are events per
-//! second (each iteration is charged the trace's event count).
-//!
-//! Runs on [`vyrd_rt::bench`]; writes `results/BENCH_check_throughput.json`.
+//! is delivery amortization on the very same event sequence. The two
+//! sides run in strict alternation ([`BenchGroup::bench_paired`]) and are
+//! compared on their fastest samples, so machine drift lands on both.
 //!
 //! `--smoke` is the CI gate: fewer samples, and a non-zero exit if the
 //! batched path is more than 10% slower than the per-event baseline on
-//! any scenario — batching must never cost throughput.
+//! any scenario — batching must never cost throughput. Records nothing;
+//! the tracked consume-path numbers are the `benchmark/` ledger's.
 
 use std::process::ExitCode;
 use std::thread;
 
-use vyrd_bench::results_dir;
-use vyrd_core::checker::{Checker, CheckerOptions, SnapshotRetention};
 use vyrd_core::log::EventLog;
 use vyrd_core::shard::partition_by_object;
 use vyrd_core::{Event, ObjectId};
 use vyrd_harness::scenario::{CheckKind, Scenario, Variant};
 use vyrd_harness::scenarios;
 use vyrd_harness::workload::WorkloadConfig;
-use vyrd_multiset::{MultisetSpec, SlotReplayer};
 use vyrd_rt::bench::{black_box, BenchGroup};
 use vyrd_rt::channel;
 
@@ -34,8 +30,7 @@ const SEED: u64 = 0xC0DE;
 const OBJECTS: u32 = 4;
 
 /// Scenario rows: name, checking mode, and workload size. Cache rides
-/// along because its view checking was the paper's worst case (16.9×)
-/// and the snapshot-elision target of this bench.
+/// along because its view checking was the paper's worst case (16.9×).
 const ROWS: &[(&str, CheckKind, usize)] = &[
     ("Multiset-Vector", CheckKind::View, 150),
     ("Cache", CheckKind::View, 120),
@@ -101,71 +96,9 @@ fn consume_per_event(
     }
 }
 
-/// The PR-9 regression pin: Multiset view checking with the spec's
-/// dense-retention hint must not cost more than the adaptive elision
-/// policy it replaces on the identical trace. The multiset's clone is a
-/// few map nodes, so eliding snapshots and replaying signatures was a
-/// net loss (the 1.13× checking-cost row); the `Spec::snapshot_stride`
-/// hint pins retention back to per-commit and this gate pins the ratio
-/// to ≤1.0×.
-fn multiset_retention_gate(group: &mut BenchGroup) -> bool {
-    let Some(scenario) = scenarios::by_name("Multiset-Vector") else {
-        return true;
-    };
-    // Single-object trace: the raw checkers below are per-object.
-    let cfg = WorkloadConfig {
-        threads: 4,
-        calls_per_thread: 150,
-        key_pool: 12,
-        shrink_pool: true,
-        internal_task: true,
-        seed: SEED,
-        pace: None,
-    };
-    let events =
-        vyrd_harness::scenario::record_run(scenario.as_ref(), &cfg, CheckKind::View.log_mode(), Variant::Correct)
-            .events;
-    // This gate compares two near-equal-cost policies, so it runs the
-    // sides interleaved (drift hits both equally) with more samples
-    // than the order-of-magnitude throughput rows above.
-    group.sample_size(25);
-    let (adaptive, hinted) = group.bench_paired(
-        "Multiset-Vector/view_adaptive_retention",
-        "Multiset-Vector/view_hinted_retention",
-        || {
-            black_box(
-                Checker::view(MultisetSpec::new(), SlotReplayer::new())
-                    .with_options(CheckerOptions {
-                        snapshot_retention: SnapshotRetention::Adaptive,
-                        ..CheckerOptions::default()
-                    })
-                    .check_events(events.clone()),
-            );
-        },
-        || {
-            black_box(
-                Checker::view(MultisetSpec::new(), SlotReplayer::new())
-                    .check_events(events.clone()),
-            );
-        },
-    );
-    // Fastest-sample ratio with a 2% tolerance: the minimum is the
-    // least-interfered-with measurement on each side, and the gate
-    // exists to catch the 1.13× class of regression, not scheduler
-    // jitter (per-sample noise on this row runs ±7%).
-    let ratio = hinted.min_ns / adaptive.min_ns;
-    eprintln!("    Multiset-Vector retention: hinted/adaptive = {ratio:.2}x (gate: <= 1.0x + 2% noise)");
-    if ratio > 1.02 {
-        eprintln!("    !! Multiset-Vector: hinted retention slower than adaptive elision");
-        return false;
-    }
-    true
-}
-
 fn main() -> ExitCode {
     let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
     let mut group = BenchGroup::new("check_throughput");
-    group.out_dir(results_dir());
     group.sample_size(if smoke { 5 } else { 15 }).fixed_iters(1);
 
     let mut gate_ok = true;
@@ -183,29 +116,27 @@ fn main() -> ExitCode {
         let shards: Vec<(ObjectId, Vec<Event>)> =
             partition_by_object(events).into_iter().collect();
 
-        let per_event = group.bench_bytes(&format!("{name}/per_event"), n, || {
-            consume_per_event(&shards, &|object| factory(object));
-        });
-        let batched = group.bench_bytes(&format!("{name}/batched"), n, || {
-            consume_batched(&shards, &|object| factory(object));
-        });
-        let speedup = per_event.mean_ns / batched.mean_ns;
+        let (per_event, batched) = group.bench_paired(
+            &format!("{name}/per_event"),
+            &format!("{name}/batched"),
+            || consume_per_event(&shards, &|object| factory(object)),
+            || consume_batched(&shards, &|object| factory(object)),
+        );
+        // Fastest-sample ratio: the minimum is the least-interfered-with
+        // measurement on each side.
+        let speedup = per_event.min_ns / batched.min_ns;
         eprintln!(
             "    {name} ({kind:?}): per-event {:.0} events/s, batched {:.0} events/s ({speedup:.2}x)",
-            n as f64 / per_event.mean_ns * 1e9,
-            n as f64 / batched.mean_ns * 1e9,
+            n as f64 / per_event.min_ns * 1e9,
+            n as f64 / batched.min_ns * 1e9,
         );
         // The CI gate: batching exists to go faster; >10% slower than
         // the per-event baseline on the same trace is a regression.
-        if batched.mean_ns > per_event.mean_ns * 1.10 {
+        if batched.min_ns > per_event.min_ns * 1.10 {
             eprintln!("    !! {name}: batched path >10% slower than per-event baseline");
             gate_ok = false;
         }
     }
-    if !multiset_retention_gate(&mut group) {
-        gate_ok = false;
-    }
-    group.finish().expect("write BENCH_check_throughput.json");
     if smoke && !gate_ok {
         eprintln!("check_throughput --smoke: FAILED");
         return ExitCode::FAILURE;

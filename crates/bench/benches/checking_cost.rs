@@ -1,20 +1,17 @@
-//! Microbenchmark behind Table 1's ratio column and the §6.4 ablation:
-//! offline checking cost of the same recorded trace under
+//! The paper ablations no `benchmark/` ledger metric answers, each over
+//! one recorded trace:
 //!
-//! * I/O refinement,
-//! * view refinement with incremental view comparison (the paper's
-//!   optimization), and
-//! * view refinement with full view comparison at every commit (the
-//!   ablation baseline).
+//! * §6.4 — view refinement with incremental vs full view comparison;
+//! * §8 — per-commit view checking vs the quiescent-only baseline;
+//! * §2 — exhaustive serialization search vs the commit-order witness.
 //!
-//! Runs on [`vyrd_rt::bench`]; each group writes its own
-//! `results/BENCH_<group>.json`.
+//! Prints per-id statistics and records nothing. (I/O vs view checking
+//! cost per scenario is `checker.{io,view}_ns_per_event.*` in the ledger.)
 
-use vyrd_bench::results_dir;
 use vyrd_core::checker::{Checker, CheckerOptions, ViewCheckPolicy};
 use vyrd_core::log::LogMode;
 use vyrd_core::Event;
-use vyrd_harness::scenario::{record_run, CheckKind, Scenario, Variant};
+use vyrd_harness::scenario::{record_run, Scenario, Variant};
 use vyrd_harness::scenarios;
 use vyrd_harness::workload::WorkloadConfig;
 use vyrd_multiset::{MultisetSpec, SlotReplayer};
@@ -35,30 +32,12 @@ fn recorded_trace(scenario: &dyn Scenario) -> Vec<Event> {
     record_run(scenario, &cfg, LogMode::View, Variant::Correct).events
 }
 
-fn checking_cost() {
-    let mut group = BenchGroup::new("checking_cost");
-    group.out_dir(results_dir());
-    group.sample_size(20);
-    for name in ["Multiset-Vector", "Cache", "BLinkTree"] {
-        let scenario = scenarios::by_name(name).expect("known scenario");
-        let events = recorded_trace(scenario.as_ref());
-        group.bench(&format!("{name}/io"), || {
-            black_box(scenario.check(CheckKind::Io, events.clone()));
-        });
-        group.bench(&format!("{name}/view"), || {
-            black_box(scenario.check(CheckKind::View, events.clone()));
-        });
-    }
-    group.finish().expect("write BENCH_checking_cost.json");
-}
-
 /// The §6.4 ablation on the multiset: incremental vs full view
 /// comparison over the identical trace.
 fn view_incremental_ablation() {
     let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
     let events = recorded_trace(scenario.as_ref());
     let mut group = BenchGroup::new("view_incremental_ablation");
-    group.out_dir(results_dir());
     group.sample_size(20);
     group.bench("incremental", || {
         black_box(
@@ -75,9 +54,6 @@ fn view_incremental_ablation() {
                 .check_events(events.clone()),
         );
     });
-    group
-        .finish()
-        .expect("write BENCH_view_incremental_ablation.json");
 }
 
 /// The §8 baseline comparison: per-commit view checking (VYRD) vs
@@ -86,7 +62,6 @@ fn quiescent_policy_ablation() {
     let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
     let events = recorded_trace(scenario.as_ref());
     let mut group = BenchGroup::new("view_check_policy");
-    group.out_dir(results_dir());
     group.sample_size(20);
     for (policy, label) in [
         (ViewCheckPolicy::EveryCommit, "every_commit"),
@@ -103,7 +78,6 @@ fn quiescent_policy_ablation() {
             );
         });
     }
-    group.finish().expect("write BENCH_view_check_policy.json");
 }
 
 /// The §2 scalability argument quantified: checking a window of `n`
@@ -153,7 +127,6 @@ fn naive_blowup() {
     }
 
     let mut group = BenchGroup::new("naive_blowup");
-    group.out_dir(results_dir());
     group.sample_size(10);
     for n in [4u32, 6, 8] {
         let exhaustive_events = overlapping_trace(n, false);
@@ -169,12 +142,10 @@ fn naive_blowup() {
             black_box(Checker::io(MultisetSpec::new()).check_events(commit_events.clone()));
         });
     }
-    group.finish().expect("write BENCH_naive_blowup.json");
 }
 
 fn main() {
     eprintln!("workload seed: {SEED:#x}");
-    checking_cost();
     view_incremental_ablation();
     quiescent_policy_ablation();
     naive_blowup();

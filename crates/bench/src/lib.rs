@@ -16,11 +16,9 @@
 //! * `vyrd soak` — open-loop load past saturation with adaptive shedding;
 //! * `vyrd witness` — minimized, explained counterexamples.
 //!
-//! The microbenchmarks (`cargo bench -p vyrd-bench`) are plain
-//! `harness = false` programs on `vyrd_rt::bench`: per-event logging cost
-//! by mode, offline checking cost (I/O vs view, incremental vs full view
-//! comparison — the §6.4 ablation), codec, shard and consume-path
-//! throughput.
+//! `cargo bench -p vyrd-bench` runs two `harness = false` programs that
+//! record nothing: the batched-vs-per-event consume gate and the paper
+//! ablations (§6.4, §8, §2). Tracked numbers come from `benchmark/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,9 +39,8 @@ mod table;
 mod witness;
 
 /// The repository's canonical directory for measurement artifacts
-/// (`results/` at the workspace root). Every bench and exporter writes its
-/// `BENCH_*.json` / `METRICS_*.json` here, so there is exactly one copy of
-/// each result to diff across runs.
+/// (`results/` at the workspace root): every `vyrd` subcommand that
+/// exports one writes it here.
 ///
 /// Honors `$VYRD_BENCH_DIR` as an override (useful for scratch runs that
 /// should not touch the tracked results); falls back to the current

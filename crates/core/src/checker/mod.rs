@@ -160,11 +160,6 @@ pub struct CheckerOptions {
     pub record_witness: bool,
     /// When view comparisons run (per-commit vs quiescent-only baseline).
     pub view_check_policy: ViewCheckPolicy,
-    /// How window-state snapshots are retained (defer to the spec's
-    /// [`Spec::snapshot_stride`] hint by default; the bench gates force
-    /// a policy to compare the hinted one against the adaptive default
-    /// on the same spec).
-    pub snapshot_retention: SnapshotRetention,
 }
 
 impl Default for CheckerOptions {
@@ -174,24 +169,8 @@ impl Default for CheckerOptions {
             full_view_compare: false,
             record_witness: false,
             view_check_policy: ViewCheckPolicy::EveryCommit,
-            snapshot_retention: SnapshotRetention::FromSpec,
         }
     }
-}
-
-/// Snapshot-retention policy for the observer-window machinery (see
-/// [`CheckerOptions::snapshot_retention`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotRetention {
-    /// Defer to the specification's [`Spec::snapshot_stride`] hint
-    /// (adaptive when the spec offers none). The default.
-    #[default]
-    FromSpec,
-    /// Adaptive strided retention regardless of the spec's hint.
-    Adaptive,
-    /// Fixed stride regardless of the spec's hint (clamped to the
-    /// checker's stride bounds; `1` retains every window state).
-    Fixed(u64),
 }
 
 /// One step of the witness interleaving: a mutator execution, in commit
@@ -222,12 +201,6 @@ impl std::fmt::Display for WitnessStep {
         write!(f, ") -> {}", self.ret)
     }
 }
-
-/// Initial (and post-quiescence) snapshot stride.
-const STRIDE_MIN: u64 = 4;
-/// Upper bound on the stride: caps the replay distance from the nearest
-/// retained snapshot to any window state.
-const STRIDE_MAX: u64 = 64;
 
 /// Per-drain cap for [`SteppingChecker::check`] on an *unbounded*
 /// channel. Unbounded producers never block, so the only party timing
@@ -454,36 +427,22 @@ pub struct Checker<S: Spec, R: Replayer = NoopReplayer> {
     pending: HashMap<ThreadId, PendingExec>,
     /// Number of commits applied to the specification so far.
     commits_applied: u64,
-    /// Snapshots of the specification state `s_j` (after `j` commits),
-    /// kept while observer executions are in flight (§4.3). Retention is
-    /// *strided*: a window's start state is anchored when the first
-    /// commit lands inside it (a copy of the state that commit
-    /// overwrites), and while windows stay open only every `stride`-th
-    /// commit state is materialized — the states in between are
-    /// reconstructed on demand by replaying `commit_log` forward from
-    /// the nearest retained snapshot. A window no commit lands in costs
-    /// nothing; a commit no window opened just before costs an O(1)
-    /// signature record, not an O(|state|) clone.
+    /// Window start anchors (§4.3): `s_j` for every `j` at which an open
+    /// observer window starts (its call, or its explicit commit), copied
+    /// when commit `j` is about to overwrite that state. Every other
+    /// window state is reconstructed on demand by replaying `commit_log`
+    /// forward from the window's own anchor. A window no commit lands in
+    /// costs nothing; a commit no window opened just before costs an
+    /// O(1) signature record, not an O(|state|) clone.
     snapshots: BTreeMap<u64, S>,
     /// Signatures of the commits applied while observer windows were
-    /// open and full snapshots were being elided: entry `i - commit_log_base`
-    /// is the (method, args, ret) that transformed `s_i` into `s_{i+1}`.
-    /// Contiguous by construction — every commit while
-    /// `observers_inflight > 0` records one — and trimmed with the
-    /// snapshots it serves.
+    /// open: entry `i - commit_log_base` is the (method, args, ret) that
+    /// transformed `s_i` into `s_{i+1}`. Contiguous by construction —
+    /// every commit while `observers_inflight > 0` records one — and
+    /// trimmed with the anchors it serves.
     commit_log: VecDeque<CommitSig>,
     /// Commit index of `commit_log`'s front entry.
     commit_log_base: u64,
-    /// Snapshot stride: a full snapshot is retained every `stride`
-    /// commits while windows are open. Adapts upward (doubling, capped)
-    /// as open windows deepen — deep windows amortize replay over more
-    /// candidate states — and resets when the system quiesces.
-    stride: u64,
-    /// Pinned stride, when the retention policy is non-adaptive: the
-    /// spec's [`Spec::snapshot_stride`] hint (cheap-to-clone specs pin
-    /// `1` and never replay) or a [`SnapshotRetention::Fixed`] override.
-    /// `None` means the adaptive doubling policy owns `stride`.
-    fixed_stride: Option<u64>,
     /// Linearizability checking mode ([`Checker::lin`]): observer
     /// windows are searched for a commit-order-consistent sequential
     /// witness, with per-window accounting and — where the spec
@@ -541,7 +500,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     }
 
     fn new(spec: S, replayer: Option<R>) -> Checker<S, R> {
-        let fixed_stride = spec.snapshot_stride().map(|s| s.clamp(1, STRIDE_MAX));
         Checker {
             spec,
             replayer,
@@ -558,8 +516,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             snapshots: BTreeMap::new(),
             commit_log: VecDeque::new(),
             commit_log_base: 0,
-            stride: fixed_stride.unwrap_or(STRIDE_MIN),
-            fixed_stride,
             lin: false,
             digests: BTreeMap::new(),
             observers_inflight: 0,
@@ -574,13 +530,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     /// Replaces the options.
     pub fn with_options(mut self, options: CheckerOptions) -> Checker<S, R> {
         self.options = options;
-        self.fixed_stride = match self.options.snapshot_retention {
-            SnapshotRetention::FromSpec => self.spec.snapshot_stride(),
-            SnapshotRetention::Adaptive => None,
-            SnapshotRetention::Fixed(s) => Some(s),
-        }
-        .map(|s| s.clamp(1, STRIDE_MAX));
-        self.stride = self.fixed_stride.unwrap_or(STRIDE_MIN);
         self
     }
 
@@ -704,7 +653,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     fn seal(mut self) -> (Report, Vec<WitnessStep>) {
         self.pump(true);
-        self.finish();
         // Fold this check's counters into the process-global metrics once,
         // at the end — exact, and far cheaper than per-event updates.
         if vyrd_rt::metrics::enabled() {
@@ -931,10 +879,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     /// Pins the live state `s_{commits_applied}` for later window checks
     /// when that costs O(1): a spec providing
-    /// [`Spec::observation_digest`] retains the digest, in every mode
-    /// (the Lin fast path of PR 7, generalized — the digest contract
-    /// guarantees `accepts_observation_digest` agrees with
-    /// `accepts_observation`). A digest-less spec pins nothing here: the
+    /// [`Spec::observation_digest`] retains the digest, in every mode (the
+    /// digest contract guarantees `accepts_observation_digest` agrees
+    /// with `accepts_observation`). A digest-less spec pins nothing here: the
     /// live state *is* the window state until a commit overwrites it, and
     /// [`Checker::apply_mutator_commit`] copies it only then.
     fn pin_digest(&mut self) {
@@ -1021,7 +968,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         // digest per open window and needs no snapshot at all.)
         let anchor = (self.observers_inflight > 0
             && self.digests.is_empty()
-            && !self.snapshots.contains_key(&commit_index)
             && self
                 .pending
                 .values()
@@ -1085,7 +1031,7 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         // Observer-window bookkeeping: pin the post-commit state while
         // any observer is in flight (§4.3). This must happen even after a
         // violation has been recorded: in continue-after-violation mode
-        // those observers still resolve later and consult the snapshots.
+        // those observers still resolve later and walk their windows.
         if self.observers_inflight > 0 {
             self.note_window_commit(commit_index, method, args, ret);
         }
@@ -1093,9 +1039,8 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     /// Pins the post-commit state `s_{commit_index + 1}` for the open
     /// observer windows, the cheap way: digest specs retain the O(1)
-    /// digest; everything else records the commit's signature (so the
-    /// state can be *replayed* on demand) and materializes a full
-    /// snapshot only every `stride`-th commit.
+    /// digest; everything else records the commit's signature, so the
+    /// state can be *replayed* on demand from a window's start anchor.
     fn note_window_commit(&mut self, commit_index: u64, method: MethodId, args: ArgList, ret: Value) {
         if let Some(digest) = self.spec.observation_digest() {
             self.digests.insert(self.commits_applied, digest);
@@ -1110,21 +1055,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             "commit signatures must stay contiguous while windows are open"
         );
         self.commit_log.push_back(CommitSig { method, args, ret });
-        // Deep open windows hold many elided states; widening the stride
-        // keeps the retained-snapshot count bounded, and replay distance
-        // stays capped at STRIDE_MAX. A pinned stride (spec hint or
-        // option override) never adapts.
-        if self.fixed_stride.is_none()
-            && self.commit_log.len() as u64 > self.stride * 16
-            && self.stride < STRIDE_MAX
-        {
-            self.stride *= 2;
-        }
-        if (self.commits_applied - self.commit_log_base).is_multiple_of(self.stride) {
-            self.snapshots
-                .insert(self.commits_applied, self.spec.clone());
-            self.stats.snapshots_taken += 1;
-        }
     }
 
     fn compare_views(
@@ -1301,7 +1231,7 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 let mut digest_only = self.lin;
                 // The replay cursor: at most one spec clone per window,
                 // advanced forward one commit signature at a time as `j`
-                // ascends past elided snapshot indices.
+                // ascends past the window's start anchor.
                 let mut cursor: Option<(u64, S)> = None;
                 for j in start..=end {
                     if self.observation_holds_at(
@@ -1344,13 +1274,11 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     /// Judges one window candidate: is the observation valid at state
     /// `s_j`? Resolution order, cheapest first: a retained digest (any
-    /// mode — the Lin fast path of PR 7, generalized), the live state,
-    /// a retained snapshot, and finally on-demand replay from the
-    /// nearest retained snapshot through `commit_log` (the snapshot-
-    /// elision slow path, O(stride) spec applies amortized to O(1) per
-    /// window state via the ascending `cursor`). Every non-digest
-    /// resolution clears `digest_only` so Lin windows are only counted
-    /// as fast-path hits when digests carried them end to end.
+    /// mode), the live state, a start anchor, and finally replay from the
+    /// nearest anchor through `commit_log` (one `Spec::apply` per window
+    /// state via the ascending `cursor`). Every non-digest resolution
+    /// clears `digest_only` so Lin windows are only counted as fast-path
+    /// hits when digests carried them end to end.
     fn observation_holds_at(
         &mut self,
         j: u64,
@@ -1376,10 +1304,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         }
         match self.replayed_state_at(j, cursor) {
             Some(state) => state.accepts_observation(method, args, ret),
-            // No retained snapshot at or below `j`: the anchor invariant
-            // was broken (a checker bug, asserted in debug builds). Fall
-            // back to the live state rather than inventing a verdict
-            // from nothing.
+            // No anchor at or below `j`: the anchor invariant was broken
+            // (a checker bug, asserted in debug builds). Fall back to the
+            // live state rather than inventing a verdict from nothing.
             None => {
                 debug_assert!(false, "no snapshot anchor at or below window state {j}");
                 self.spec.accepts_observation(method, args, ret)
@@ -1387,21 +1314,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         }
     }
 
-    /// Reconstructs the elided state `s_j` by cloning the nearest
-    /// retained snapshot at or below `j` into `cursor` and re-applying
-    /// the recorded commit signatures up to `j`. The cursor persists
-    /// across a window walk, so an ascending sequence of misses costs
-    /// one clone plus one `Spec::apply` per step in total.
+    /// Reconstructs the state `s_j` by cloning the nearest anchor at or
+    /// below `j` into `cursor` and re-applying the recorded commit
+    /// signatures up to `j`. The cursor persists across a window walk, so
+    /// an ascending sequence of misses costs one clone plus one
+    /// `Spec::apply` per step in total.
     ///
     /// Relies on the spec-determinism contract of [`Spec::apply`]: a
     /// signature that applied cleanly to the live spec applies cleanly
     /// (and identically) to a replayed copy.
     fn replayed_state_at<'c>(&mut self, j: u64, cursor: &'c mut Option<(u64, S)>) -> Option<&'c S> {
-        let need_seed = match cursor {
-            Some((at, _)) => *at > j,
-            None => true,
-        };
-        if need_seed {
+        if cursor.is_none() {
             let (anchor, snap) = self.snapshots.range(..=j).next_back()?;
             *cursor = Some((*anchor, snap.clone()));
         }
@@ -1421,20 +1344,18 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             self.stats.snapshot_replays += 1;
             *at += 1;
         }
-        debug_assert_eq!(*at, j, "commit signatures must cover every elided window state");
+        debug_assert_eq!(*at, j, "commit signatures must cover every window state");
         (*at == j).then_some(&*state)
     }
 
-    /// Drops snapshots, digests, and commit signatures no open observer
-    /// window can reach; full quiescence also resets the adaptive
-    /// stride.
+    /// Drops anchors, digests, and commit signatures no open observer
+    /// window can reach.
     fn gc_snapshots(&mut self) {
         if self.observers_inflight == 0 {
             self.snapshots.clear();
             self.digests.clear();
             self.commit_log.clear();
             self.commit_log_base = 0;
-            self.stride = self.fixed_stride.unwrap_or(STRIDE_MIN);
             return;
         }
         let min_start = self
@@ -1457,11 +1378,5 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             }
             self.commit_log_base += 1;
         }
-    }
-
-    fn finish(&mut self) {
-        // Executions still open at the end of the log are tolerated: a
-        // well-formed complete run returns from everything, but an online
-        // check can be stopped mid-run.
     }
 }

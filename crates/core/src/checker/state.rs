@@ -4,7 +4,7 @@
 //! suspend a checker at an arbitrary event boundary, persist it, and
 //! resume it in another process. [`Checker::save_state`] captures *all*
 //! of the engine's run state — spec, replayer shadow state, in-flight
-//! executions, buffered lookahead, observer-window snapshots, block
+//! executions, buffered lookahead, observer-window anchors, block
 //! buffers — as a single self-describing [`Value`], which the checkpoint
 //! file format frames and checksums. [`Checker::restore_state`] is the
 //! inverse, applied to a freshly constructed checker of the same shape
@@ -27,7 +27,7 @@ use crate::violation::{CheckStats, Violation};
 use super::{Checker, CommitSig, PendingExec};
 
 /// Version tag of the checkpoint state encoding; bump on layout changes.
-const STATE_VERSION: i64 = 1;
+const STATE_VERSION: i64 = 2;
 
 /// Why a checker state could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -535,23 +535,21 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             u64_value(self.position)?,
             u64_value(self.commits_since_quiescent_check)?,
             Value::List(digests),
-            // Snapshot-elision state: the stride, plus the commit
-            // signatures that reconstruct elided window states from the
-            // strided snapshots above.
+            // The commit signatures that reconstruct window states from
+            // the anchors above.
             Value::List(vec![
-                u64_value(self.stride)?,
                 u64_value(self.commit_log_base)?,
                 Value::List(
                     self.commit_log
                         .iter()
                         .map(|sig| {
-                            Ok(Value::List(vec![
+                            Value::List(vec![
                                 Value::from(sig.method.name()),
                                 Value::List(sig.args.to_vec()),
                                 sig.ret.clone(),
-                            ]))
+                            ])
                         })
-                        .collect::<Result<_, StateError>>()?,
+                        .collect(),
                 ),
             ]),
         ]))
@@ -634,12 +632,10 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             digests.insert(value_u64(index)?, digest.clone());
         }
         self.digests = digests;
-        // Elided-snapshot replay state.
         let parts = value_list(&items[14])?;
-        let [stride_v, base_v, sigs_v] = parts else {
+        let [base_v, sigs_v] = parts else {
             return Err(err("malformed commit-signature state"));
         };
-        self.stride = value_u64(stride_v)?.max(1);
         self.commit_log_base = value_u64(base_v)?;
         self.commit_log.clear();
         for sig in value_list(sigs_v)? {

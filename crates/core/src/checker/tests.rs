@@ -811,10 +811,10 @@ fn checkpoint_with_an_unanchored_window_resumes_identically() {
 
 #[test]
 fn overlapping_observers_elide_per_commit_snapshots() {
-    // One long-running observer spanning 3 commits. The elided path
-    // keeps only the window-start anchor (plus strided retention) and
-    // reconstructs intermediate states by replaying commit signatures,
-    // so far fewer snapshots are taken than commits spanned.
+    // One long-running observer spanning 3 commits. Only the
+    // window-start anchor is kept; intermediate states are reconstructed
+    // by replaying commit signatures, so far fewer snapshots are taken
+    // than commits spanned.
     let mut events = vec![call(9, "Get", &[1])];
     for i in 1..=3 {
         events.extend(put(0, 1, i));

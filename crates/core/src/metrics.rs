@@ -152,8 +152,7 @@ pub struct PipelineMetrics {
     pub checker_batch_events: Arc<Counter>,
     /// Events per drained consume batch.
     pub checker_batch_occupancy: Arc<Histogram>,
-    /// Commit signatures re-applied to reconstruct elided window
-    /// snapshots on demand.
+    /// Commit signatures re-applied to reconstruct window states.
     pub checker_snapshot_replays: Arc<Counter>,
 
     // -- Linearizability checking mode (Checker::lin) --

@@ -40,7 +40,7 @@ use crate::metrics::pipeline;
 use crate::violation::{Degradation, Report};
 
 use super::checkpoint::{self, Checkpoint};
-use super::{scan_segments, writer_finished, ScannedSegment};
+use super::{scan_segments, sealed_end, writer_finished, ScannedSegment};
 
 /// Tuning knobs for the continuous verifier.
 #[derive(Clone, Debug)]
@@ -319,6 +319,14 @@ impl ContinuousVerifier {
     /// the final checkpoint.
     pub fn finalize(mut self) -> io::Result<Report> {
         self.step()?;
+        // Sealed history whose files are gone and that no restorable
+        // checkpoint covers is a hole even with no later segment for
+        // `hole_before` to measure it against.
+        let sealed_end = sealed_end(&self.dir)?;
+        if !self.stalled && sealed_end > self.next_seq {
+            self.degradation.events_lost += sealed_end - self.next_seq;
+            self.stalled = true;
+        }
         let mut crash_evidence = self.stalled || !writer_finished(&self.dir)?;
         if !self.stalled {
             crash_evidence |= self.consume_tail()?;
@@ -534,6 +542,66 @@ mod tests {
         fields.pop();
         let err = checker.restore_state(&Value::List(fields)).unwrap_err();
         assert!(err.message().contains("expected 15 fields"), "{err}");
+        // So must the retired version-1 layout, whose field count matches.
+        let saved = checker.save_state().unwrap();
+        let err = checker.restore_state(&as_version_1(&saved)).unwrap_err();
+        assert!(
+            err.message().contains("unsupported checkpoint state version"),
+            "{err}"
+        );
+    }
+
+    /// A saved (version-2) checker state in the retired version-1 layout:
+    /// field 0 = 1, one retention slot in front of field 15's `[base, sigs]`.
+    fn as_version_1(state: &Value) -> Value {
+        let mut fields = state.as_list().expect("state is a list").to_vec();
+        fields[0] = Value::from(1i64);
+        let mut commit_log = fields[14].as_list().expect("[base, sigs]").to_vec();
+        commit_log.insert(0, Value::from(4i64));
+        fields[14] = Value::List(commit_log);
+        Value::List(fields)
+    }
+
+    #[test]
+    fn retired_checkpoint_layout_degrades_never_forges() {
+        for delete_checked in [false, true] {
+            let dir = temp_dir(&format!("continuous-v1-state-{delete_checked}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let total = record(&dir, 40, 256);
+            let options = ContinuousOptions {
+                delete_checked,
+                ..ContinuousOptions::default()
+            };
+            let mut first = ContinuousVerifier::open(&dir, factory(), options.clone()).unwrap();
+            first.step().unwrap();
+            assert!(first.next_seq() > 0);
+            drop(first);
+
+            // Leave one checkpoint, its states in the version-1 layout.
+            let checkpoints = checkpoint::list_checkpoints(&dir).unwrap();
+            let mut newest = checkpoint::read_checkpoint(&checkpoints[0]).unwrap();
+            for (_, state) in &mut newest.states {
+                *state = as_version_1(state);
+            }
+            for path in checkpoints {
+                std::fs::remove_file(path).unwrap();
+            }
+            checkpoint::write_checkpoint(&dir, &newest).unwrap();
+
+            let resumed = ContinuousVerifier::open(&dir, factory(), options).unwrap();
+            assert_eq!(resumed.resume_seq(), 0, "an unreadable state resumes nothing");
+            let report = resumed.finalize().unwrap();
+            if delete_checked {
+                // The segments the checkpoint covered are gone: a hole.
+                assert!(report.is_degraded(), "{report:?}");
+                assert!(report.degradation.events_lost > 0);
+            } else {
+                // Everything is still on disk: the from-scratch verdict.
+                assert!(report.passed() && !report.is_degraded(), "{report:?}");
+                assert_eq!(report.stats.events, total);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

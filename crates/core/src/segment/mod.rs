@@ -216,6 +216,13 @@ fn read_manifest(dir: &Path) -> io::Result<Vec<(u64, u64)>> {
     Ok(entries)
 }
 
+/// Durable sequence number one past the last event any manifest entry
+/// seals, whether or not its segment file still exists.
+pub(crate) fn sealed_end(dir: &Path) -> io::Result<u64> {
+    let manifest = read_manifest(dir)?;
+    Ok(manifest.iter().map(|(first, events)| first + events).max().unwrap_or(0))
+}
+
 /// `true` when the directory's writer sealed its tail and shut down in
 /// order (see [`MANIFEST_FINISHED`]); `false` for a missing manifest.
 pub(crate) fn writer_finished(dir: &Path) -> io::Result<bool> {

@@ -90,9 +90,9 @@ impl SpecEffect {
 /// Implementations must be `Clone` because the observer-window check (§4.3)
 /// needs the states an in-flight observer may have seen after commits have
 /// overwritten them: the checker copies a window's start state when the
-/// first commit inside it is about to overwrite that state (and a strided
-/// few after it), and rebuilds the rest by re-applying recorded commits to
-/// a copy. An observer whose window holds no commit costs no clone.
+/// first commit inside it is about to overwrite that state, and rebuilds
+/// the rest by re-applying recorded commits to one more copy of it. An
+/// observer whose window holds no commit costs no clone.
 ///
 /// # Examples
 ///
@@ -224,22 +224,9 @@ pub trait Spec: Clone + Send + 'static {
         false
     }
 
-    /// Snapshot-retention hint for the observer-window machinery: how
-    /// many commits may elapse between retained full-spec snapshots
-    /// while observer windows are open.
-    ///
-    /// `None` (the default) selects the adaptive strided policy — the
-    /// checker starts dense and widens the stride as windows deepen,
-    /// replaying elided states from commit signatures on demand. A
-    /// spec that knows its own cost balance can pin the stride
-    /// instead: `Some(1)` retains every post-commit state and never
-    /// replays (right when cloning is cheaper than re-applying even
-    /// one commit); a wide stride retains almost nothing and replays
-    /// freely (right when a commit re-apply is one cheap map update,
-    /// so the adaptive policy's dense early-window cloning is pure
-    /// overhead — the multiset family pins this). Values are clamped
-    /// to the checker's stride bounds; digest-capable specs never
-    /// consult this hint (digests are cheaper than either policy).
+    /// Inert: the checker consults nothing here. It survives only because
+    /// the frozen `benchmark/src/probe.rs` forwards it from its `Spec`
+    /// wrapper; ROADMAP item 2(f) removes that forward and then this.
     fn snapshot_stride(&self) -> Option<u64> {
         None
     }

@@ -253,7 +253,7 @@ pub struct CheckStats {
     pub methods_completed: u64,
     /// Observer executions checked.
     pub observers_checked: u64,
-    /// Specification snapshots taken for observer windows.
+    /// Specification copies taken as observer-window start anchors.
     pub snapshots_taken: u64,
     /// View comparisons performed (one per mutator commit in view mode).
     pub view_comparisons: u64,
@@ -277,8 +277,8 @@ pub struct CheckStats {
     /// `events` when a violation stopped the run mid-batch (the rest of
     /// the batch was received but not processed).
     pub batch_events: u64,
-    /// Commit signatures re-applied to reconstruct elided observer-window
-    /// snapshots (the snapshot-stride slow path).
+    /// Commit signatures re-applied to reconstruct observer-window states
+    /// from their window's start anchor.
     pub snapshot_replays: u64,
     /// Events the program appended after the log was closed — actions the
     /// verifier never saw (straggler threads still running at

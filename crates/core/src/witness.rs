@@ -41,7 +41,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use vyrd_rt::bench::json_str;
+use vyrd_rt::json::json_str;
 
 use crate::diagnose;
 use crate::event::{Event, MethodId, ObjectId, ThreadId};

@@ -13,6 +13,11 @@
 //!   also accepts; dropping one logged write makes it reject at (or
 //!   after) that commit.
 //!
+//! A second generator shape, [`long_window_log`], holds three staggered
+//! observers open across 200+ commits each (one pinned by an explicit
+//! commit) so the same properties also cover deep window replay, plus a
+//! checkpoint cut inside all three windows.
+//!
 //! Properties run over fixed seed blocks via [`vyrd_rt::rng`]; every
 //! assertion message names the failing seed so a counterexample replays
 //! exactly (`generate_log(seed, …)` is deterministic).
@@ -25,7 +30,7 @@ use vyrd_core::checker::{Checker, CheckerOptions};
 use vyrd_core::replay::Replayer;
 use vyrd_core::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use vyrd_core::view::View;
-use vyrd_core::{Event, MethodId, ObjectId, ThreadId, Value, VarId};
+use vyrd_core::{Event, MethodId, ObjectId, Report, ThreadId, Value, VarId};
 
 const KEYS: i64 = 3;
 const OBJ: ObjectId = ObjectId::DEFAULT;
@@ -70,6 +75,26 @@ impl Spec for RegSpec {
             .iter()
             .map(|(&k, &v)| (Value::from(k), Value::from(v)))
             .collect()
+    }
+
+    fn save_state(&self) -> Option<Value> {
+        Some(Value::List(
+            self.regs
+                .iter()
+                .map(|(&k, &v)| Value::pair(Value::from(k), Value::from(v)))
+                .collect(),
+        ))
+    }
+
+    fn restore_state(&mut self, state: &Value) -> Result<(), SpecError> {
+        let bad = || SpecError::new("malformed register state");
+        self.regs.clear();
+        for entry in state.as_list().ok_or_else(bad)? {
+            let (k, v) = entry.as_pair().ok_or_else(bad)?;
+            self.regs
+                .insert(k.as_int().ok_or_else(bad)?, v.as_int().ok_or_else(bad)?);
+        }
+        Ok(())
     }
 }
 
@@ -225,6 +250,149 @@ fn generate_log(seed: u64, threads: usize, steps: usize) -> (Vec<Event>, Vec<usi
     (events, observer_returns)
 }
 
+/// Which window state an unpinned [`long_window_log`] observer returns.
+#[derive(Clone, Copy)]
+enum Pick {
+    First,
+    Middle,
+    Last,
+}
+
+/// A [`long_window_log`] and what the properties need to know about it.
+struct LongLog {
+    events: Vec<Event>,
+    /// Log indices of the three observer returns (corruption targets).
+    observer_returns: Vec<usize>,
+    /// An event index inside all three windows: after the last observer
+    /// call, before the first observer return.
+    cut: usize,
+    /// How far the state justifying a return lies from its window's
+    /// start, at most: one more than a lower bound on signatures replayed.
+    deepest_walk: u64,
+}
+
+/// Window starts a commit lands on in a [`long_window_log`] — the three
+/// observer calls and the explicit observer commit — and so the most
+/// specification copies its check may take.
+const LONG_LOG_ANCHORS: u64 = 4;
+
+const LONG_SEEDS: std::ops::Range<u64> = 600..618;
+
+/// The register's value for `k` at state `j` (after `j` commits).
+fn value_at(commits: &[(i64, i64)], k: i64, j: usize) -> i64 {
+    commits[..j].iter().rev().find(|c| c.0 == k).map_or(0, |c| c.1)
+}
+
+/// The other generator shape: a stream of complete `Put`s (every value
+/// distinct) under three staggered `Get`s, each held open across 200+
+/// commits. Observer `seed % 3` is pinned mid-window by an explicit commit
+/// and returns that state's value; the other two return their window's
+/// first, a middle or its last state's value, cycling with the seed — a
+/// `Last` walks its whole window by signature replay, because the commit
+/// just before its return is a `Put` to its own key.
+fn long_window_log(seed: u64) -> LongLog {
+    let mut rng = Rng::seed_from_u64(seed);
+    let pinned = (seed % 3) as usize;
+    let picks = [Pick::First, Pick::Middle, Pick::Last];
+    let pick = |i: usize| picks[(i + (seed / 3) as usize) % 3];
+    let keys: Vec<i64> = (0..3).map(|_| rng.gen_range(0..KEYS)).collect();
+    // Commit counts at which things happen, in order: three calls, then
+    // the pin and the cut, then three returns.
+    let mut start = [rng.gen_range(2..8usize), 0, 0];
+    start[1] = start[0] + rng.gen_range(30..60);
+    start[2] = start[1] + rng.gen_range(30..60);
+    let pin = start[2] + rng.gen_range(40..80);
+    let cut_at = start[2] + rng.gen_range(5..120);
+    let mut end = [start[2] + 200 + rng.gen_range(0..10), 0, 0];
+    end[1] = end[0] + rng.gen_range(10..40);
+    end[2] = end[1] + rng.gen_range(10..40);
+
+    let mut log = LongLog {
+        events: Vec::new(),
+        observer_returns: Vec::new(),
+        cut: 0,
+        deepest_walk: 0,
+    };
+    // (key, value) of every commit so far; its length is the state index.
+    let mut commits: Vec<(i64, i64)> = Vec::new();
+    loop {
+        let now = commits.len();
+        for i in 0..3 {
+            if now == start[i] {
+                log.events.push(Event::Call {
+                    tid: ThreadId(10 + i as u32),
+                    object: OBJ,
+                    method: "Get".into(),
+                    args: vec![Value::from(keys[i])].into(),
+                });
+            }
+        }
+        if now == pin {
+            let tid = ThreadId(10 + pinned as u32);
+            log.events.push(Event::Commit { tid, object: OBJ });
+        }
+        if now == cut_at {
+            log.cut = log.events.len();
+        }
+        for i in 0..3 {
+            if now != end[i] {
+                continue;
+            }
+            let state = match pick(i) {
+                _ if i == pinned => pin,
+                Pick::First => start[i],
+                Pick::Middle => (start[i] + end[i]) / 2,
+                Pick::Last => end[i],
+            };
+            let value = value_at(&commits, keys[i], state);
+            if i != pinned {
+                let first_justified = (start[i]..=end[i])
+                    .find(|&j| value_at(&commits, keys[i], j) == value)
+                    .expect("the picked state justifies it");
+                log.deepest_walk = log.deepest_walk.max((first_justified - start[i]) as u64);
+            }
+            log.observer_returns.push(log.events.len());
+            log.events.push(Event::Return {
+                tid: ThreadId(10 + i as u32),
+                object: OBJ,
+                method: "Get".into(),
+                ret: Value::from(value),
+            });
+        }
+        if now == end[2] {
+            return log;
+        }
+        // One complete Put; to the key of a `Last` observer about to return.
+        let about_to_return_last =
+            (0..3).find(|&i| i != pinned && now + 1 == end[i] && matches!(pick(i), Pick::Last));
+        let k = about_to_return_last.map_or_else(|| rng.gen_range(0..KEYS), |i| keys[i]);
+        let v = now as i64 + 1;
+        let tid = ThreadId(rng.gen_range(0..2));
+        log.events.extend([
+            Event::Call {
+                tid,
+                object: OBJ,
+                method: "Put".into(),
+                args: vec![Value::from(k), Value::from(v)].into(),
+            },
+            Event::Write {
+                tid,
+                object: OBJ,
+                var: VarId::new("reg", k),
+                value: Value::from(v),
+            },
+            Event::Commit { tid, object: OBJ },
+            Event::Return {
+                tid,
+                object: OBJ,
+                method: "Put".into(),
+                ret: Value::Unit,
+            },
+        ]);
+        commits.push((k, v));
+    }
+}
+
 /// Drives a property over `cases` consecutive seeds starting at `base`.
 /// The per-case thread count and step budget are derived from the seed,
 /// so the corpus spans the same shape space the proptest version did;
@@ -249,67 +417,132 @@ fn for_each_case(
     }
 }
 
+/// Drives a property over every [`long_window_log`] seed.
+fn for_each_long_case(body: impl Fn(u64, LongLog)) {
+    for seed in LONG_SEEDS {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(seed, long_window_log(seed))
+        }));
+        if result.is_err() {
+            panic!("property failed at seed {seed}; replay with long_window_log({seed})");
+        }
+    }
+}
+
+fn passes_io(events: Vec<Event>) -> Report {
+    let report = Checker::io(RegSpec::default()).check_events(events);
+    assert!(report.passed(), "{report}");
+    report
+}
+
 #[test]
 fn generated_valid_logs_pass_io() {
     for_each_case(0, 64, 1..6, 1..120, |seed, threads, steps| {
-        let (events, _) = generate_log(seed, threads, steps);
-        let report = Checker::io(RegSpec::default()).check_events(events);
-        assert!(report.passed(), "{report}");
+        passes_io(generate_log(seed, threads, steps).0);
     });
+    for_each_long_case(|_, log| {
+        let stats = passes_io(log.events).stats;
+        assert_eq!(stats.observers_checked, 3);
+        // One copy per window start a commit lands on, never one per
+        // so-many commits inside a window.
+        assert!(stats.snapshots_taken <= LONG_LOG_ANCHORS, "{stats:?}");
+        assert!(stats.snapshot_replays + 1 >= log.deepest_walk, "{stats:?}");
+    });
+    let deepest = LONG_SEEDS.map(|seed| long_window_log(seed).deepest_walk).max();
+    assert!(deepest >= Some(200), "no seed walks a whole window: {deepest:?}");
+}
+
+fn passes_view(events: Vec<Event>) {
+    let report =
+        Checker::view(RegSpec::default(), RegReplayer::default()).check_events(events.clone());
+    assert!(report.passed(), "{report}");
+    // Incremental-vs-full equivalence on the same trace (there is no
+    // incremental protocol here, so both take the full path — this
+    // guards the option against divergence).
+    let full = Checker::view(RegSpec::default(), RegReplayer::default())
+        .with_options(CheckerOptions {
+            full_view_compare: true,
+            ..Default::default()
+        })
+        .check_events(events);
+    assert!(full.passed(), "{full}");
 }
 
 #[test]
 fn generated_valid_logs_pass_view() {
     for_each_case(100, 64, 1..6, 1..120, |seed, threads, steps| {
-        let (events, _) = generate_log(seed, threads, steps);
-        let report =
-            Checker::view(RegSpec::default(), RegReplayer::default()).check_events(events.clone());
-        assert!(report.passed(), "{report}");
-        // Incremental-vs-full equivalence on the same trace (there is no
-        // incremental protocol here, so both take the full path — this
-        // guards the option against divergence).
-        let full = Checker::view(RegSpec::default(), RegReplayer::default())
-            .with_options(CheckerOptions {
-                full_view_compare: true,
-                ..Default::default()
-            })
-            .check_events(events);
-        assert!(full.passed(), "{full}");
+        passes_view(generate_log(seed, threads, steps).0);
     });
+    for_each_long_case(|_, log| passes_view(log.events));
+}
+
+fn corrupted_observer_return_fails(seed: u64, mut events: Vec<Event>, observer_returns: &[usize]) {
+    if observer_returns.is_empty() {
+        return;
+    }
+    let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD);
+    let idx = observer_returns[rng.gen_range(0..observer_returns.len())];
+    // Replace the observed value with one no register ever holds.
+    let Event::Return { tid, method, .. } = &events[idx] else {
+        panic!("index does not point at a return");
+    };
+    events[idx] = Event::Return {
+        tid: *tid,
+        object: OBJ,
+        method: *method,
+        ret: Value::from(-1i64),
+    };
+    let report = Checker::io(RegSpec::default()).check_events(events);
+    assert!(!report.passed(), "corruption must be detected");
+    assert_eq!(
+        report.violation.expect("violation").category(),
+        "observer-unjustified"
+    );
 }
 
 #[test]
 fn corrupted_observer_returns_fail() {
     for_each_case(200, 64, 1..6, 8..120, |seed, threads, steps| {
-        let (mut events, observer_returns) = generate_log(seed, threads, steps);
-        if observer_returns.is_empty() {
-            return;
+        let (events, observer_returns) = generate_log(seed, threads, steps);
+        corrupted_observer_return_fails(seed, events, &observer_returns);
+    });
+    for_each_long_case(|seed, log| {
+        corrupted_observer_return_fails(seed, log.events, &log.observer_returns);
+    });
+}
+
+/// A checkpoint taken while all three long windows are open restores to
+/// the uninterrupted run: same verdict, same counters.
+#[test]
+fn long_windows_survive_a_checkpoint_cut() {
+    for_each_long_case(|_, log| {
+        let uninterrupted = passes_io(log.events.clone());
+        let mut first = Checker::io(RegSpec::default());
+        for event in &log.events[..log.cut] {
+            first.feed(event.clone());
         }
-        let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD);
-        let idx = observer_returns[rng.gen_range(0..observer_returns.len())];
-        // Replace the observed value with one no register ever holds.
-        let Event::Return { tid, method, .. } = &events[idx] else {
-            panic!("index does not point at a return");
-        };
-        events[idx] = Event::Return {
-            tid: *tid,
-            object: OBJ,
-            method: *method,
-            ret: Value::from(-1i64),
-        };
-        let report = Checker::io(RegSpec::default()).check_events(events);
-        assert!(!report.passed(), "corruption must be detected");
-        assert_eq!(
-            report.violation.expect("violation").category(),
-            "observer-unjustified"
-        );
+        let state = first.save_state().expect("RegSpec checkpoints");
+        let mut resumed = Checker::io(RegSpec::default());
+        resumed.restore_state(&state).expect("own state restores");
+        for event in &log.events[log.cut..] {
+            resumed.feed(event.clone());
+        }
+        let resumed = resumed.into_report();
+        assert_eq!(resumed.verdict(), uninterrupted.verdict());
+        assert_eq!(resumed.stats, uninterrupted.stats);
     });
 }
 
 #[test]
 fn dropped_writes_fail_view_refinement() {
     for_each_case(300, 64, 1..6, 8..120, |seed, threads, steps| {
-        let (events, _) = generate_log(seed, threads, steps);
+        dropped_write_fails_view(seed, generate_log(seed, threads, steps).0);
+    });
+    for_each_long_case(|seed, log| dropped_write_fails_view(seed, log.events));
+}
+
+fn dropped_write_fails_view(seed: u64, events: Vec<Event>) {
+    {
         let write_positions: Vec<usize> = events
             .iter()
             .enumerate()
@@ -350,7 +583,7 @@ fn dropped_writes_fail_view_refinement() {
             assert!(!report.passed(), "lost write must be detected");
             assert!(report.violation.expect("violation").is_view_only());
         }
-    });
+    }
 }
 
 mod naive_oracle {

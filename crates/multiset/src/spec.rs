@@ -222,16 +222,6 @@ impl Spec for MultisetSpec {
         self.counts = counts;
         Ok(())
     }
-
-    /// Replaying a multiset commit signature is one `BTreeMap` entry
-    /// update — cheaper than materializing snapshot clones, whose
-    /// count the adaptive policy only ratchets down as windows deepen.
-    /// Pin the stride wide from the first commit: retain the (dense,
-    /// O(1)-to-record) signatures and replay on demand instead of
-    /// paying the adaptive policy's dense early-window cloning.
-    fn snapshot_stride(&self) -> Option<u64> {
-        Some(64)
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! 2. later work can shard the logger or instrument the channel itself
 //!    without fighting an opaque dependency.
 //!
-//! Eight modules:
+//! Nine modules:
 //!
 //! * [`channel`] — an MPSC channel, unbounded or bounded, with the
 //!   `crossbeam::channel` subset the event log uses (`send`/`send_many`/
@@ -38,9 +38,11 @@
 //! * [`rng`] — a seedable SplitMix64/xoshiro256++ PRNG
 //!   (`gen_range`, `gen_bool`, `shuffle`, `fill_bytes`) making workloads
 //!   deterministic by seed;
-//! * [`bench`] — a minimal benchmark runner (warmup, N timed iterations,
-//!   mean/median/p95/stddev, `BENCH_*.json` emission) so the
-//!   `crates/bench` binaries run as plain `harness = false` programs;
+//! * [`bench`] — a minimal benchmark runner (warmup, N timed samples,
+//!   single or strictly alternating A/B, mean/median/p95/stddev on
+//!   stderr) under the `crates/bench` gate and ablation binaries;
+//! * [`json`] — the one JSON string escape the hand-written artifact
+//!   emitters share;
 //! * [`time`] — open-loop pacing ([`Pacer`](time::Pacer): fixed arrival
 //!   schedule, never reflowed when the caller falls behind) and a
 //!   stoppable periodic [`Ticker`](time::Ticker) for control loops.
@@ -52,6 +54,7 @@ pub mod bench;
 pub mod channel;
 pub mod fault;
 pub mod intern;
+pub mod json;
 pub mod metrics;
 pub mod rng;
 pub mod sync;

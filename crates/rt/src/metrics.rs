@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::bench::json_str;
+use crate::json::json_str;
 use crate::sync::{CachePadded, Mutex};
 
 /// How many of the most recent spans the ring retains.
