@@ -548,11 +548,6 @@ fn run_lin_cell(seed: u64) -> Cell {
                 s.lin_witness_backtracks,
                 c("lin.witness_backtracks"),
             ),
-            (
-                "fastpath vs lin.fastpath_hits",
-                s.lin_fastpath_hits,
-                c("lin.fastpath_hits"),
-            ),
             holds(
                 "windows searched on an observer-bearing trace",
                 s.lin_windows_searched > 0,

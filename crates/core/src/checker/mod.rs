@@ -10,7 +10,9 @@
 //!   paper does, §2/Fig. 3), and executes the specification one method at a
 //!   time. Observer methods carry no commit annotation; their return value
 //!   is accepted if it is valid in any specification state between their
-//!   call and return (§4.3).
+//!   call and return (§4.3). It is obtained by the same lookahead, at the
+//!   call, so each of those states is judged while it is the live one and
+//!   none is stored.
 //! * **View refinement** ([`Checker::view`]): additionally replays logged
 //!   shared-variable writes into a programmer-provided [`Replayer`] shadow
 //!   state and compares `view_I` with `view_S` at every mutator commit
@@ -62,7 +64,7 @@ pub mod state;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -298,13 +300,24 @@ pub trait SteppingChecker: Send {
 
     /// Checks a complete recorded trace, stopping early once halted.
     fn check_events(mut self: Box<Self>, events: Vec<Event>) -> Report {
-        for event in events {
-            if self.halted() {
-                break;
-            }
-            self.feed(event);
-        }
+        feed_until_halted(&mut *self, events);
         self.finish()
+    }
+}
+
+/// The one offline loop: feeds `events` in order until they run out or
+/// the checker halts. Every whole-trace entry point — the trait's
+/// [`SteppingChecker::check_events`] and [`Checker`]'s `check_events*` /
+/// `check_reader` — is this loop followed by the end of the log.
+fn feed_until_halted<C: SteppingChecker + ?Sized>(
+    checker: &mut C,
+    events: impl IntoIterator<Item = Event>,
+) {
+    for event in events {
+        if checker.halted() {
+            break;
+        }
+        checker.feed(event);
     }
 }
 
@@ -353,16 +366,6 @@ impl<S: Spec, R: Replayer> SteppingChecker for Checker<S, R> {
 /// calls it on demand and again after recovery.
 pub type SteppingFactory = Arc<dyn Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync>;
 
-/// The signature of one applied mutator commit — enough to re-apply it
-/// to a specification snapshot during window replay. Recorded (instead
-/// of a full spec clone) for every commit that lands while observer
-/// windows are open.
-struct CommitSig {
-    method: MethodId,
-    args: ArgList,
-    ret: Value,
-}
-
 /// A method execution in progress (between its call and return actions).
 struct PendingExec {
     method: MethodId,
@@ -376,13 +379,33 @@ struct PendingExec {
     /// index it pins the observation to (an extension of §4.3; narrows the
     /// window to a single state).
     explicit_commit: Option<u64>,
+    /// For observers: the return value, read ahead at the call (the
+    /// lookahead §2/Fig. 3 uses for commits). `None` for mutators, and
+    /// for an observer whose return the log does not hold.
+    ret: Option<Value>,
+    /// Some window state so far accepted `ret` (§4.3: any one suffices).
+    justified: bool,
+    /// Window states that rejected `ret` before one accepted it.
+    rejected: u64,
 }
 
 impl PendingExec {
-    /// The oldest state an observer's return can still be judged at: its
-    /// explicit commit's, else its window's start.
-    fn oldest_state(&self) -> u64 {
-        self.explicit_commit.unwrap_or(self.window_start)
+    /// Judges the read-ahead return against `spec` — the live state, the
+    /// newest candidate of this observer's window.
+    fn judge<S: Spec>(&mut self, spec: &S) {
+        if let Some(ret) = &self.ret {
+            if spec.accepts_observation(&self.method, &self.args, ret) {
+                self.justified = true;
+            } else {
+                self.rejected += 1;
+            }
+        }
+    }
+
+    /// An observer whose window is still open-ended and unjustified: the
+    /// state after the next commit is a fresh candidate for it.
+    fn searching(&self) -> bool {
+        self.ret.is_some() && !self.justified && self.explicit_commit.is_none()
     }
 }
 
@@ -411,49 +434,33 @@ pub struct Checker<S: Spec, R: Replayer = NoopReplayer> {
     stats: CheckStats,
     violation: Option<Violation>,
     witness: Vec<WitnessStep>,
-    /// Events pulled from the input queue while looking ahead for a
-    /// return value, not yet processed.
-    lookahead: VecDeque<Event>,
-    /// Fed events not yet processed (nor buffered into `lookahead`).
-    /// The engine is push-based: [`Checker::feed`] enqueues here and the
-    /// pump processes as far as the commit-lookahead rule allows.
+    /// Fed events not yet processed. The engine is push-based:
+    /// [`Checker::feed`] enqueues here and the pump processes as far as
+    /// the lookahead rule allows.
     input: VecDeque<Event>,
-    /// Per-thread count of `Return` events sitting unprocessed in
-    /// `input` + `lookahead`. A mutator commit needs its return value by
-    /// lookahead (§2/Fig. 3); the pump stalls on a commit until the
-    /// committing thread's return has been fed (or the log ends).
-    returns_buffered: HashMap<ThreadId, usize>,
+    /// Per-thread `(method, ret)` of the `Return` events sitting
+    /// unprocessed in `input`, in log order — the lookahead of §2/Fig. 3
+    /// as an index. A mutator commit and an observer call both need
+    /// their thread's return; the pump stalls on either until it has been
+    /// fed (or the log ends). A thread with nothing buffered has no
+    /// entry: thread ids are minted per call by some drivers, so kept
+    /// empties would grow with the log.
+    returns_buffered: HashMap<ThreadId, VecDeque<(MethodId, Value)>>,
+    /// The thread whose return the pump is parked on, so events fed
+    /// meanwhile cost no stall re-evaluation; cleared when that thread's
+    /// `Return` is pushed.
+    parked_on: Option<ThreadId>,
     /// Per-thread in-flight execution.
     pending: HashMap<ThreadId, PendingExec>,
     /// Number of commits applied to the specification so far.
     commits_applied: u64,
-    /// Window start anchors (§4.3): `s_j` for every `j` at which an open
-    /// observer window starts (its call, or its explicit commit), copied
-    /// when commit `j` is about to overwrite that state. Every other
-    /// window state is reconstructed on demand by replaying `commit_log`
-    /// forward from the window's own anchor. A window no commit lands in
-    /// costs nothing; a commit no window opened just before costs an
-    /// O(1) signature record, not an O(|state|) clone.
-    snapshots: BTreeMap<u64, S>,
-    /// Signatures of the commits applied while observer windows were
-    /// open: entry `i - commit_log_base` is the (method, args, ret) that
-    /// transformed `s_i` into `s_{i+1}`. Contiguous by construction —
-    /// every commit while `observers_inflight > 0` records one — and
-    /// trimmed with the anchors it serves.
-    commit_log: VecDeque<CommitSig>,
-    /// Commit index of `commit_log`'s front entry.
-    commit_log_base: u64,
-    /// Linearizability checking mode ([`Checker::lin`]): observer
-    /// windows are searched for a commit-order-consistent sequential
-    /// witness, with per-window accounting and — where the spec
-    /// provides [`Spec::observation_digest`] — O(1) digests retained
-    /// per window state instead of full snapshots.
+    /// Linearizability checking mode ([`Checker::lin`]): the window
+    /// search of §4.3 is additionally accounted per window in
+    /// [`CheckStats`].
     lin: bool,
-    /// Observation digests of the specification state `s_j`, the lin
-    /// mode's fixed-ADT replacement for `snapshots` (same keying).
-    digests: BTreeMap<u64, Value>,
-    /// Number of observer executions in flight.
-    observers_inflight: usize,
+    /// Number of pending observers for which [`PendingExec::searching`]
+    /// holds — the ones a commit must re-judge; usually zero.
+    searching: usize,
     /// Commit-block write buffering (§5.2).
     blocks: BlockBuffer,
     /// Position (0-based) of the event currently being processed.
@@ -481,10 +488,9 @@ impl<S: Spec> Checker<S, NoopReplayer> {
     /// window (§4.3) is *searched* for a commit-order-consistent
     /// sequential witness — a state in the window at which the observed
     /// return value is a legal linearization of the observer. The
-    /// search is accounted in the lin-specific [`CheckStats`] counters
-    /// (windows searched, witness backtracks, fast-path hits), and for
-    /// specs that provide [`Spec::observation_digest`] it runs on O(1)
-    /// retained digests instead of full specification snapshots.
+    /// search is the one [`Checker::io`] runs; this mode accounts it in
+    /// the lin-specific [`CheckStats`] counters (windows searched,
+    /// witness backtracks).
     pub fn lin(spec: S) -> Checker<S, NoopReplayer> {
         let mut checker = Checker::new(spec, None);
         checker.lin = true;
@@ -508,17 +514,13 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             stats: CheckStats::default(),
             violation: None,
             witness: Vec::new(),
-            lookahead: VecDeque::new(),
             input: VecDeque::new(),
             returns_buffered: HashMap::new(),
+            parked_on: None,
             pending: HashMap::new(),
             commits_applied: 0,
-            snapshots: BTreeMap::new(),
-            commit_log: VecDeque::new(),
-            commit_log_base: 0,
             lin: false,
-            digests: BTreeMap::new(),
-            observers_inflight: 0,
+            searching: 0,
             blocks: BlockBuffer::new(),
             position: 0,
             commits_since_quiescent_check: 0,
@@ -542,18 +544,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     /// Checks a complete in-memory log.
     pub fn check_events<I: IntoIterator<Item = Event>>(self, events: I) -> Report {
-        let mut iter = events.into_iter();
-        self.run(move || iter.next()).0
+        self.check_events_with_witness(events).0
     }
 
     /// Like [`Checker::check_events`], also returning the witness
     /// interleaving (enable [`CheckerOptions::record_witness`]).
     pub fn check_events_with_witness<I: IntoIterator<Item = Event>>(
-        self,
+        mut self,
         events: I,
     ) -> (Report, Vec<WitnessStep>) {
-        let mut iter = events.into_iter();
-        self.run(move || iter.next())
+        feed_until_halted(&mut self, events);
+        self.seal()
     }
 
     /// Checks a log streamed from a channel: [`SteppingChecker::check`]
@@ -567,23 +568,13 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     /// [`codec::LogReader`]). A decoding error is reported as a
     /// [`Violation::MalformedLog`].
     pub fn check_reader<Rd: Read>(self, reader: Rd) -> Report {
-        let mut decode_failed = false;
         let mut log_reader = codec::LogReader::new(reader).ok();
-        if log_reader.is_none() {
-            decode_failed = true;
-        }
-        let (mut report, _) = self.run(|| {
-            if decode_failed {
-                return None;
-            }
-            match log_reader.as_mut().expect("reader present").next_event() {
-                Ok(event) => event,
-                Err(_) => {
-                    decode_failed = true;
-                    None
-                }
-            }
-        });
+        let mut decode_failed = log_reader.is_none();
+        let mut report = self.check_events(std::iter::from_fn(|| {
+            let event = log_reader.as_mut()?.next_event();
+            decode_failed |= event.is_err();
+            event.ok().flatten()
+        }));
         if decode_failed && report.violation.is_none() {
             report.violation = Some(Violation::MalformedLog {
                 detail: "log stream ended with a decoding error".to_owned(),
@@ -598,22 +589,13 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     //
     // The engine is *push-based*: events are enqueued with `feed` (or the
     // private `push`) and `pump` processes them in log order, stalling on
-    // a mutator commit until the committing thread's return value has
-    // been fed (the paper's lookahead, §2/Fig. 3). The pull-based
-    // `check_*` entry points are thin wrappers that drain their source
-    // into the queue. Push form exists so a checker can be suspended at
-    // any event boundary — the continuous verification service
-    // checkpoints and resumes checkers mid-log (see `save_state`).
+    // a mutator commit or an observer call until that thread's return
+    // value has been fed (the paper's lookahead, §2/Fig. 3). The
+    // pull-based `check_*` entry points feed their source into the queue
+    // (`feed_until_halted`) and seal. Push form exists so a checker can be
+    // suspended at any event boundary — the continuous verification
+    // service checkpoints and resumes checkers mid-log (see `save_state`).
     // ------------------------------------------------------------------
-
-    fn run(mut self, mut source: impl FnMut() -> Option<Event>) -> (Report, Vec<WitnessStep>) {
-        while !self.halted() {
-            let Some(event) = source() else { break };
-            self.push(event);
-            self.pump(false);
-        }
-        self.seal()
-    }
 
     /// Feeds one event into the checker, processing as far as the
     /// lookahead rule allows. Call [`Checker::into_report`] after the
@@ -661,17 +643,14 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             pm.checker_commits_applied.add(self.stats.commits_applied);
             pm.checker_methods_completed.add(self.stats.methods_completed);
             pm.checker_observers_checked.add(self.stats.observers_checked);
-            pm.checker_snapshots_taken.add(self.stats.snapshots_taken);
             pm.checker_view_comparisons.add(self.stats.view_comparisons);
             pm.checker_view_keys_compared.add(self.stats.view_keys_compared);
             pm.checker_writes_replayed.add(self.stats.writes_replayed);
             pm.checker_lin_windows_searched.add(self.stats.lin_windows_searched);
             pm.checker_lin_witness_backtracks
                 .add(self.stats.lin_witness_backtracks);
-            pm.checker_lin_fastpath_hits.add(self.stats.lin_fastpath_hits);
             pm.checker_batches.add(self.stats.batches);
             pm.checker_batch_events.add(self.stats.batch_events);
-            pm.checker_snapshot_replays.add(self.stats.snapshot_replays);
         }
         let degradation = crate::violation::Degradation {
             events_lost: self.truncated_commits_lost,
@@ -689,37 +668,45 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
 
     /// Enqueues an event without processing.
     fn push(&mut self, event: Event) {
-        if let Event::Return { tid, .. } = &event {
-            *self.returns_buffered.entry(*tid).or_insert(0) += 1;
+        if let Event::Return {
+            tid, method, ret, ..
+        } = &event
+        {
+            self.returns_buffered
+                .entry(*tid)
+                .or_default()
+                .push_back((*method, ret.clone()));
+            if self.parked_on == Some(*tid) {
+                self.parked_on = None;
+            }
         }
         self.input.push_back(event);
     }
 
-    /// Processes queued events in log order until the queue is empty, a
-    /// mutator commit stalls on a not-yet-fed return (`eof` false), or a
+    /// Processes queued events in log order until the queue is empty, the
+    /// front event stalls on a not-yet-fed return (`eof` false), or a
     /// violation stops the run.
     fn pump(&mut self, eof: bool) {
-        loop {
-            if self.halted() {
+        if self.parked_on.is_some() && !eof {
+            return;
+        }
+        while !self.halted() {
+            let Some(front) = self.input.front() else {
                 return;
+            };
+            if !eof {
+                self.parked_on = self.stalled_on(front);
+                if self.parked_on.is_some() {
+                    return;
+                }
             }
-            // The next event in log order is the lookahead front (events
-            // buffered while scanning for an earlier return), else the
-            // input front. Either way, a stalled commit parks the pump
-            // until the committing thread's return is fed.
-            match self.lookahead.front().or_else(|| self.input.front()) {
-                None => return,
-                Some(e) if !eof && self.commit_stalled(e) => return,
-                Some(_) => {}
-            }
-            let event = match self.lookahead.pop_front().or_else(|| self.input.pop_front()) {
-                Some(e) => e,
-                None => return,
+            let Some(event) = self.input.pop_front() else {
+                return;
             };
             if let Event::Return { tid, .. } = &event {
-                if let Some(n) = self.returns_buffered.get_mut(tid) {
-                    *n -= 1;
-                    if *n == 0 {
+                if let Some(returns) = self.returns_buffered.get_mut(tid) {
+                    returns.pop_front();
+                    if returns.is_empty() {
                         self.returns_buffered.remove(tid);
                     }
                 }
@@ -734,80 +721,34 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         }
     }
 
-    /// True when `event` is a mutator commit whose return value has not
-    /// been fed yet: processing it now would turn a merely-incomplete
-    /// stream into a spurious malformed-log verdict. Observer commits,
-    /// double commits, and orphan commits never stall — they resolve
-    /// without lookahead.
-    fn commit_stalled(&self, event: &Event) -> bool {
-        let Event::Commit { tid, .. } = event else {
-            return false;
-        };
-        match self.pending.get(tid) {
-            Some(p) => {
-                p.kind == MethodKind::Mutator
-                    && !p.committed
-                    && self.returns_buffered.get(tid).copied().unwrap_or(0) == 0
+    /// The thread whose return `event` must wait for, if it has not been
+    /// fed yet: an uncommitted mutator's commit applies the specification
+    /// with that return, and an observer's call judges it against every
+    /// state of the window that opens here (§4.3). Processing either now
+    /// would turn a merely-incomplete stream into a spurious verdict.
+    /// Observer commits, double commits and orphan commits never stall —
+    /// they resolve without lookahead.
+    fn stalled_on(&self, event: &Event) -> Option<ThreadId> {
+        let tid = match event {
+            Event::Commit { tid, .. } => match self.pending.get(tid) {
+                Some(p) if p.kind == MethodKind::Mutator && !p.committed => *tid,
+                _ => return None,
+            },
+            Event::Call { tid, method, .. }
+                if self.spec.kind(method) == MethodKind::Observer =>
+            {
+                *tid
             }
-            None => false,
-        }
+            _ => return None,
+        };
+        (!self.returns_buffered.contains_key(&tid)).then_some(tid)
     }
 
-    /// Scans forward (buffering into `lookahead`) for the return value of
-    /// the method execution `tid` is currently inside. Per well-formedness
-    /// (§3.2) the next return action of `tid` is the matching one; a
-    /// return naming a different method is a malformed log (`Err`), kept
-    /// distinct from a missing return (`Ok(None)`).
-    fn lookahead_return(
-        &mut self,
-        tid: ThreadId,
-        method: &MethodId,
-    ) -> Result<Option<Value>, Violation> {
-        let matching = |m: &MethodId, ret: &Value| -> Result<Value, Violation> {
-            if m == method {
-                Ok(ret.clone())
-            } else {
-                Err(Violation::MalformedLog {
-                    detail: format!(
-                        "{tid} committed inside {method} but its next return is from {m}"
-                    ),
-                    log_position: self.position,
-                })
-            }
-        };
-        for e in &self.lookahead {
-            if let Event::Return {
-                tid: t,
-                method: m,
-                ret,
-                ..
-            } = e
-            {
-                if *t == tid {
-                    return matching(m, ret).map(Some);
-                }
-            }
-        }
-        loop {
-            let Some(e) = self.input.pop_front() else {
-                return Ok(None);
-            };
-            let found = if let Event::Return {
-                tid: t,
-                method: m,
-                ret,
-                ..
-            } = &e
-            {
-                (*t == tid).then(|| matching(m, ret))
-            } else {
-                None
-            };
-            self.lookahead.push_back(e);
-            if let Some(result) = found {
-                return result.map(Some);
-            }
-        }
+    /// The `(method, ret)` of the next return action of `tid` in the fed
+    /// log, if any. Per well-formedness (§3.2) it is the return of the
+    /// execution `tid` is currently inside.
+    fn lookahead_return(&self, tid: ThreadId) -> Option<&(MethodId, Value)> {
+        self.returns_buffered.get(&tid)?.front()
     }
 
     fn fail(&mut self, violation: Violation) {
@@ -857,43 +798,34 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             return;
         }
         let kind = self.spec.kind(&method);
+        let mut exec = PendingExec {
+            method,
+            args,
+            kind,
+            committed: false,
+            window_start: self.commits_applied,
+            explicit_commit: None,
+            ret: None,
+            justified: false,
+            rejected: 0,
+        };
         if kind == MethodKind::Observer {
-            self.observers_inflight += 1;
-            // s_{window_start}: the state the data structure was in when
-            // the observer was called (the "last commit action before
-            // a_call" state of §4.3).
-            self.pin_digest();
+            // The return is known for the whole window (a return naming
+            // another method is `on_return`'s to report), so every
+            // candidate state is judged while it is the live one,
+            // starting with s_{window_start}: the state the data
+            // structure was in when the observer was called (§4.3).
+            exec.ret = self
+                .lookahead_return(tid)
+                .and_then(|(m, ret)| (*m == method).then(|| ret.clone()));
+            exec.judge(&self.spec);
+            self.searching += usize::from(exec.searching());
         }
-        self.pending.insert(
-            tid,
-            PendingExec {
-                method,
-                args,
-                kind,
-                committed: false,
-                window_start: self.commits_applied,
-                explicit_commit: None,
-            },
-        );
-    }
-
-    /// Pins the live state `s_{commits_applied}` for later window checks
-    /// when that costs O(1): a spec providing
-    /// [`Spec::observation_digest`] retains the digest, in every mode (the
-    /// digest contract guarantees `accepts_observation_digest` agrees
-    /// with `accepts_observation`). A digest-less spec pins nothing here: the
-    /// live state *is* the window state until a commit overwrites it, and
-    /// [`Checker::apply_mutator_commit`] copies it only then.
-    fn pin_digest(&mut self) {
-        if !self.digests.contains_key(&self.commits_applied) {
-            if let Some(digest) = self.spec.observation_digest() {
-                self.digests.insert(self.commits_applied, digest);
-            }
-        }
+        self.pending.insert(tid, exec);
     }
 
     fn on_commit(&mut self, tid: ThreadId) {
-        let Some(pending) = self.pending.get(&tid) else {
+        let Some(pending) = self.pending.get_mut(&tid) else {
             self.fail(Violation::MalformedLog {
                 detail: format!("{tid} committed outside any method execution"),
                 log_position: self.position,
@@ -904,14 +836,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             MethodKind::Observer => {
                 // Extension of §4.3: an explicitly annotated observer
                 // commit pins the observation to the current state instead
-                // of the whole call–return window.
-                self.pin_digest();
-                let pending = self.pending.get_mut(&tid).expect("checked above");
+                // of the whole call–return window, so the search restarts
+                // with the live state as its only candidate.
+                self.searching -= usize::from(pending.searching());
                 pending.explicit_commit = Some(self.commits_applied);
+                pending.justified = false;
+                pending.rejected = 0;
+                pending.judge(&self.spec);
             }
             MethodKind::Mutator => {
+                let method = pending.method;
                 if pending.committed {
-                    let method = pending.method;
                     self.fail(Violation::CommitAnnotation {
                         tid,
                         method,
@@ -920,13 +855,24 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                     });
                     return;
                 }
-                let method = pending.method;
                 let args = pending.args.clone();
                 // The paper derives the committing method's return value
-                // "by looking ahead in the implementation's execution".
-                let ret = match self.lookahead_return(tid, &method) {
-                    Ok(Some(ret)) => ret,
-                    Ok(None) => {
+                // "by looking ahead in the implementation's execution". A
+                // return naming a different method is a malformed log,
+                // kept distinct from a missing return.
+                let ret = match self.lookahead_return(tid) {
+                    Some((m, ret)) if *m == method => ret.clone(),
+                    Some((m, _)) => {
+                        let detail = format!(
+                            "{tid} committed inside {method} but its next return is from {m}"
+                        );
+                        self.fail(Violation::MalformedLog {
+                            detail,
+                            log_position: self.position,
+                        });
+                        return;
+                    }
+                    None => {
                         if self.input_truncated {
                             // The return died with the discarded tail:
                             // the commit is unchecked coverage, not a
@@ -943,10 +889,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                         });
                         return;
                     }
-                    Err(violation) => {
-                        self.fail(violation);
-                        return;
-                    }
                 };
                 self.apply_mutator_commit(tid, method, args, ret);
             }
@@ -961,18 +903,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         ret: Value,
     ) {
         let commit_index = self.commits_applied;
-        // Copy-on-first-commit: a window's start state is copied when a
-        // commit is about to overwrite it — here, once for every window
-        // that opened since the last commit — so a window that sees no
-        // commit never costs a clone. (A digest spec has pinned one
-        // digest per open window and needs no snapshot at all.)
-        let anchor = (self.observers_inflight > 0
-            && self.digests.is_empty()
-            && self
-                .pending
-                .values()
-                .any(|p| p.kind == MethodKind::Observer && p.oldest_state() == commit_index))
-        .then(|| self.spec.clone());
         let effect = match self.spec.apply(&method, &args, &ret) {
             Ok(effect) => effect,
             Err(err) => {
@@ -994,19 +924,25 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 return;
             }
         };
-        if let Some(anchor) = anchor {
-            self.snapshots.insert(commit_index, anchor);
-            self.stats.snapshots_taken += 1;
-        }
         self.commits_applied += 1;
         self.stats.commits_applied += 1;
+        // The new live state is the next candidate of every observer
+        // window still searching (§4.3) — usually none. This runs even
+        // after a violation has been recorded: in continue-after-violation
+        // mode those observers still resolve later.
+        if self.searching > 0 {
+            for pending in self.pending.values_mut().filter(|p| p.searching()) {
+                pending.judge(&self.spec);
+                self.searching -= usize::from(pending.justified);
+            }
+        }
         if self.options.record_witness {
             self.witness.push(WitnessStep {
                 commit_index,
                 tid,
                 method,
                 args: args.to_vec(),
-                ret: ret.clone(),
+                ret,
             });
         }
         if let Some(pending) = self.pending.get_mut(&tid) {
@@ -1028,33 +964,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 self.commits_since_quiescent_check += 1;
             }
         }
-        // Observer-window bookkeeping: pin the post-commit state while
-        // any observer is in flight (§4.3). This must happen even after a
-        // violation has been recorded: in continue-after-violation mode
-        // those observers still resolve later and walk their windows.
-        if self.observers_inflight > 0 {
-            self.note_window_commit(commit_index, method, args, ret);
-        }
-    }
-
-    /// Pins the post-commit state `s_{commit_index + 1}` for the open
-    /// observer windows, the cheap way: digest specs retain the O(1)
-    /// digest; everything else records the commit's signature, so the
-    /// state can be *replayed* on demand from a window's start anchor.
-    fn note_window_commit(&mut self, commit_index: u64, method: MethodId, args: ArgList, ret: Value) {
-        if let Some(digest) = self.spec.observation_digest() {
-            self.digests.insert(self.commits_applied, digest);
-            return;
-        }
-        if self.commit_log.is_empty() {
-            self.commit_log_base = commit_index;
-        }
-        debug_assert_eq!(
-            self.commit_log_base + self.commit_log.len() as u64,
-            commit_index,
-            "commit signatures must stay contiguous while windows are open"
-        );
-        self.commit_log.push_back(CommitSig { method, args, ret });
     }
 
     fn compare_views(
@@ -1179,6 +1088,9 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             });
             return;
         };
+        // Released before any early return: a pending observer leaves the
+        // searching count on every path that removes it.
+        self.searching -= usize::from(pending.searching());
         if pending.method != method {
             self.fail(Violation::MalformedLog {
                 detail: format!(
@@ -1205,14 +1117,13 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 self.stats.methods_completed += 1;
             }
             MethodKind::Observer => {
-                self.observers_inflight -= 1;
                 self.stats.observers_checked += 1;
                 let (start, end) = match pending.explicit_commit {
                     Some(c) => (c, c),
                     None => (pending.window_start, self.commits_applied),
                 };
                 // Observer-window size (§4.3): how many candidate states
-                // this return must be checked against. Runs on the
+                // this return was checked against, at most. Runs on the
                 // verifier thread, so the histogram update is off the
                 // program's critical path.
                 if vyrd_rt::metrics::enabled() {
@@ -1220,42 +1131,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                         .checker_observer_window
                         .record(end - start);
                 }
-                // The window search: in io mode, §4.3 verbatim — the
-                // return is accepted if valid in any window state. In
+                // The window search has already run, one candidate per
+                // state as each became live: in io mode, §4.3 verbatim —
+                // the return is accepted if valid in any window state. In
                 // lin mode the same search is the hunt for a
-                // commit-order-consistent sequential witness, with
-                // every rejected candidate counted as a backtrack and
-                // digest-resolved windows counted as fast-path hits.
-                let mut satisfied = false;
-                let mut rejected = 0u64;
-                let mut digest_only = self.lin;
-                // The replay cursor: at most one spec clone per window,
-                // advanced forward one commit signature at a time as `j`
-                // ascends past the window's start anchor.
-                let mut cursor: Option<(u64, S)> = None;
-                for j in start..=end {
-                    if self.observation_holds_at(
-                        j,
-                        &method,
-                        &pending.args,
-                        &ret,
-                        &mut digest_only,
-                        &mut cursor,
-                    ) {
-                        satisfied = true;
-                        break;
-                    }
-                    rejected += 1;
-                }
+                // commit-order-consistent sequential witness, with every
+                // rejected candidate counted as a backtrack.
                 if self.lin {
                     self.stats.lin_windows_searched += 1;
-                    self.stats.lin_witness_backtracks += rejected;
-                    if digest_only {
-                        self.stats.lin_fastpath_hits += 1;
-                    }
+                    self.stats.lin_witness_backtracks += pending.rejected;
                 }
-                self.gc_snapshots();
-                if !satisfied {
+                if !pending.justified {
                     self.fail(Violation::ObserverUnjustified {
                         tid,
                         method,
@@ -1269,114 +1155,6 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 }
                 self.stats.methods_completed += 1;
             }
-        }
-    }
-
-    /// Judges one window candidate: is the observation valid at state
-    /// `s_j`? Resolution order, cheapest first: a retained digest (any
-    /// mode), the live state, a start anchor, and finally replay from the
-    /// nearest anchor through `commit_log` (one `Spec::apply` per window
-    /// state via the ascending `cursor`). Every non-digest resolution
-    /// clears `digest_only` so Lin windows are only counted as fast-path
-    /// hits when digests carried them end to end.
-    fn observation_holds_at(
-        &mut self,
-        j: u64,
-        method: &MethodId,
-        args: &[Value],
-        ret: &Value,
-        digest_only: &mut bool,
-        cursor: &mut Option<(u64, S)>,
-    ) -> bool {
-        if let Some(digest) = self.digests.get(&j) {
-            return self.spec.accepts_observation_digest(method, args, ret, digest);
-        }
-        if j == self.commits_applied {
-            if let Some(digest) = self.spec.observation_digest() {
-                return self.spec.accepts_observation_digest(method, args, ret, &digest);
-            }
-            *digest_only = false;
-            return self.spec.accepts_observation(method, args, ret);
-        }
-        *digest_only = false;
-        if let Some(state) = self.snapshots.get(&j) {
-            return state.accepts_observation(method, args, ret);
-        }
-        match self.replayed_state_at(j, cursor) {
-            Some(state) => state.accepts_observation(method, args, ret),
-            // No anchor at or below `j`: the anchor invariant was broken
-            // (a checker bug, asserted in debug builds). Fall back to the
-            // live state rather than inventing a verdict from nothing.
-            None => {
-                debug_assert!(false, "no snapshot anchor at or below window state {j}");
-                self.spec.accepts_observation(method, args, ret)
-            }
-        }
-    }
-
-    /// Reconstructs the state `s_j` by cloning the nearest anchor at or
-    /// below `j` into `cursor` and re-applying the recorded commit
-    /// signatures up to `j`. The cursor persists across a window walk, so
-    /// an ascending sequence of misses costs one clone plus one
-    /// `Spec::apply` per step in total.
-    ///
-    /// Relies on the spec-determinism contract of [`Spec::apply`]: a
-    /// signature that applied cleanly to the live spec applies cleanly
-    /// (and identically) to a replayed copy.
-    fn replayed_state_at<'c>(&mut self, j: u64, cursor: &'c mut Option<(u64, S)>) -> Option<&'c S> {
-        if cursor.is_none() {
-            let (anchor, snap) = self.snapshots.range(..=j).next_back()?;
-            *cursor = Some((*anchor, snap.clone()));
-        }
-        let (at, state) = cursor.as_mut()?;
-        while *at < j {
-            let Some(offset) = at.checked_sub(self.commit_log_base) else {
-                break;
-            };
-            let Some(sig) = self.commit_log.get(offset as usize) else {
-                break;
-            };
-            let applied = state.apply(&sig.method, &sig.args, &sig.ret);
-            debug_assert!(
-                applied.is_ok(),
-                "spec replay diverged: commit {at} applied live but not on replay"
-            );
-            self.stats.snapshot_replays += 1;
-            *at += 1;
-        }
-        debug_assert_eq!(*at, j, "commit signatures must cover every window state");
-        (*at == j).then_some(&*state)
-    }
-
-    /// Drops anchors, digests, and commit signatures no open observer
-    /// window can reach.
-    fn gc_snapshots(&mut self) {
-        if self.observers_inflight == 0 {
-            self.snapshots.clear();
-            self.digests.clear();
-            self.commit_log.clear();
-            self.commit_log_base = 0;
-            return;
-        }
-        let min_start = self
-            .pending
-            .values()
-            .filter(|p| p.kind == MethodKind::Observer)
-            .map(PendingExec::oldest_state)
-            .min()
-            .unwrap_or(u64::MAX);
-        self.snapshots = self.snapshots.split_off(&min_start);
-        self.digests = self.digests.split_off(&min_start);
-        // Signatures below the oldest reachable window start can never
-        // be replayed across again (every window a commit has landed in
-        // holds an anchor at its start, so replay never reaches below
-        // `min_start`).
-        while self.commit_log_base < min_start {
-            if self.commit_log.pop_front().is_none() {
-                self.commit_log_base = min_start;
-                break;
-            }
-            self.commit_log_base += 1;
         }
     }
 }

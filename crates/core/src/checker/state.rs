@@ -4,8 +4,9 @@
 //! suspend a checker at an arbitrary event boundary, persist it, and
 //! resume it in another process. [`Checker::save_state`] captures *all*
 //! of the engine's run state — spec, replayer shadow state, in-flight
-//! executions, buffered lookahead, observer-window anchors, block
-//! buffers — as a single self-describing [`Value`], which the checkpoint
+//! executions (each observer with its read-ahead return and how far its
+//! window search has got), fed-but-unprocessed events, block buffers —
+//! as a single self-describing [`Value`], which the checkpoint
 //! file format frames and checksums. [`Checker::restore_state`] is the
 //! inverse, applied to a freshly constructed checker of the same shape
 //! (same spec constructor parameters, same invariants, same options).
@@ -14,7 +15,6 @@
 //! ([`codec::write_value`]), so a checkpoint needs no serialization
 //! machinery the log does not already have.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::codec;
@@ -24,10 +24,10 @@ use crate::spec::{MethodKind, Spec};
 use crate::value::Value;
 use crate::violation::{CheckStats, Violation};
 
-use super::{Checker, CommitSig, PendingExec};
+use super::{Checker, PendingExec};
 
 /// Version tag of the checkpoint state encoding; bump on layout changes.
-const STATE_VERSION: i64 = 2;
+const STATE_VERSION: i64 = 3;
 
 /// Why a checker state could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -322,25 +322,22 @@ fn stats_value(s: &CheckStats) -> Result<Value, StateError> {
         u64_value(s.commits_applied)?,
         u64_value(s.methods_completed)?,
         u64_value(s.observers_checked)?,
-        u64_value(s.snapshots_taken)?,
         u64_value(s.view_comparisons)?,
         u64_value(s.view_keys_compared)?,
         u64_value(s.writes_replayed)?,
         u64_value(s.events_discarded_after_close)?,
         u64_value(s.lin_windows_searched)?,
         u64_value(s.lin_witness_backtracks)?,
-        u64_value(s.lin_fastpath_hits)?,
         u64_value(s.batches)?,
         u64_value(s.batch_events)?,
-        u64_value(s.snapshot_replays)?,
     ]))
 }
 
 fn value_stats(v: &Value) -> Result<CheckStats, StateError> {
     let items = value_list(v)?;
-    if items.len() != 15 {
+    if items.len() != 12 {
         return Err(err(format!(
-            "expected 15 stats counters, got {}",
+            "expected 12 stats counters, got {}",
             items.len()
         )));
     }
@@ -349,17 +346,14 @@ fn value_stats(v: &Value) -> Result<CheckStats, StateError> {
         commits_applied: value_u64(&items[1])?,
         methods_completed: value_u64(&items[2])?,
         observers_checked: value_u64(&items[3])?,
-        snapshots_taken: value_u64(&items[4])?,
-        view_comparisons: value_u64(&items[5])?,
-        view_keys_compared: value_u64(&items[6])?,
-        writes_replayed: value_u64(&items[7])?,
-        events_discarded_after_close: value_u64(&items[8])?,
-        lin_windows_searched: value_u64(&items[9])?,
-        lin_witness_backtracks: value_u64(&items[10])?,
-        lin_fastpath_hits: value_u64(&items[11])?,
-        batches: value_u64(&items[12])?,
-        batch_events: value_u64(&items[13])?,
-        snapshot_replays: value_u64(&items[14])?,
+        view_comparisons: value_u64(&items[4])?,
+        view_keys_compared: value_u64(&items[5])?,
+        writes_replayed: value_u64(&items[6])?,
+        events_discarded_after_close: value_u64(&items[7])?,
+        lin_windows_searched: value_u64(&items[8])?,
+        lin_witness_backtracks: value_u64(&items[9])?,
+        batches: value_u64(&items[10])?,
+        batch_events: value_u64(&items[11])?,
     })
 }
 
@@ -371,15 +365,16 @@ fn pending_value(tid: ThreadId, p: &PendingExec) -> Result<Value, StateError> {
         Value::from(i64::from(p.kind == MethodKind::Observer)),
         Value::Bool(p.committed),
         u64_value(p.window_start)?,
-        option_value(p.explicit_commit.map(|c| i64::try_from(c).map(Value::from)).transpose().map_err(
-            |_| err("explicit commit index does not fit a checkpoint integer"),
-        )?),
+        option_value(p.explicit_commit.map(u64_value).transpose()?),
+        option_value(p.ret.clone()),
+        Value::Bool(p.justified),
+        u64_value(p.rejected)?,
     ]))
 }
 
 fn value_pending(v: &Value) -> Result<(ThreadId, PendingExec), StateError> {
     let items = value_list(v)?;
-    if items.len() != 7 {
+    if items.len() != 10 {
         return Err(err("malformed pending-execution entry"));
     }
     let kind = match items[3].as_int() {
@@ -396,6 +391,9 @@ fn value_pending(v: &Value) -> Result<(ThreadId, PendingExec), StateError> {
             committed: value_bool(&items[4])?,
             window_start: value_u64(&items[5])?,
             explicit_commit: value_option(&items[6])?.map(value_u64).transpose()?,
+            ret: value_option(&items[7])?.cloned(),
+            justified: value_bool(&items[8])?,
+            rejected: value_u64(&items[9])?,
         },
     ))
 }
@@ -487,41 +485,27 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         if self.options.record_witness {
             return Err(err("cannot checkpoint a checker recording a witness"));
         }
-        let spec_state = |s: &S| -> Result<Value, StateError> {
-            s.save_state()
-                .ok_or_else(|| err("spec does not support checkpointing (save_state is None)"))
-        };
+        let spec_state = self
+            .spec
+            .save_state()
+            .ok_or_else(|| err("spec does not support checkpointing (save_state is None)"))?;
         let replayer_state = match &self.replayer {
             Some(r) => option_value(Some(r.save_state().ok_or_else(|| {
                 err("replayer does not support checkpointing (save_state is None)")
             })?)),
             None => option_value(None),
         };
-        let mut snapshots = Vec::with_capacity(self.snapshots.len());
-        for (index, snap) in &self.snapshots {
-            snapshots.push(Value::List(vec![u64_value(*index)?, spec_state(snap)?]));
-        }
-        let mut digests = Vec::with_capacity(self.digests.len());
-        for (index, digest) in &self.digests {
-            digests.push(Value::List(vec![u64_value(*index)?, digest.clone()]));
-        }
         let mut pending: Vec<_> = self.pending.iter().collect();
         pending.sort_by_key(|(tid, _)| tid.0);
         Ok(Value::List(vec![
             Value::from(STATE_VERSION),
-            spec_state(&self.spec)?,
+            spec_state,
             replayer_state,
             stats_value(&self.stats)?,
             match &self.violation {
                 Some(v) => option_value(Some(violation_value(v)?)),
                 None => option_value(None),
             },
-            Value::List(
-                self.lookahead
-                    .iter()
-                    .map(event_value)
-                    .collect::<Result<_, _>>()?,
-            ),
             Value::List(self.input.iter().map(event_value).collect::<Result<_, _>>()?),
             Value::List(
                 pending
@@ -530,35 +514,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                     .collect::<Result<_, _>>()?,
             ),
             u64_value(self.commits_applied)?,
-            Value::List(snapshots),
             blocks_value(&self.blocks)?,
             u64_value(self.position)?,
             u64_value(self.commits_since_quiescent_check)?,
-            Value::List(digests),
-            // The commit signatures that reconstruct window states from
-            // the anchors above.
-            Value::List(vec![
-                u64_value(self.commit_log_base)?,
-                Value::List(
-                    self.commit_log
-                        .iter()
-                        .map(|sig| {
-                            Value::List(vec![
-                                Value::from(sig.method.name()),
-                                Value::List(sig.args.to_vec()),
-                                sig.ret.clone(),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ]),
         ]))
     }
 
     /// Restores run state saved by [`Checker::save_state`] into this
     /// checker, which must be freshly constructed with the same shape
     /// (spec constructor parameters, invariants, options). Derived state
-    /// (observer counts, buffered-return counts) is recomputed.
+    /// (the searching count, the per-thread buffered returns) is
+    /// recomputed.
     ///
     /// # Errors
     ///
@@ -566,16 +532,17 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
     /// the spec/replayer rejects its serialized state.
     pub fn restore_state(&mut self, state: &Value) -> Result<(), StateError> {
         let items = value_list(state)?;
-        if items.len() != 15 {
-            return Err(err(format!(
-                "malformed checkpoint state: expected 15 fields, got {}",
-                items.len()
-            )));
-        }
-        if items[0].as_int() != Some(STATE_VERSION) {
+        // The version first: a retired layout has its own field count.
+        if items.first().and_then(Value::as_int) != Some(STATE_VERSION) {
             return Err(err(format!(
                 "unsupported checkpoint state version {} (expected {STATE_VERSION})",
-                items[0]
+                items.first().unwrap_or(&Value::Unit)
+            )));
+        }
+        if items.len() != 11 {
+            return Err(err(format!(
+                "malformed checkpoint state: expected 11 fields, got {}",
+                items.len()
             )));
         }
         self.spec
@@ -595,71 +562,25 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
         }
         self.stats = value_stats(&items[3])?;
         self.violation = value_option(&items[4])?.map(value_violation).transpose()?;
-        self.lookahead = value_list(&items[5])?
+        let input: Vec<Event> = value_list(&items[5])?
             .iter()
             .map(value_event)
             .collect::<Result<_, _>>()?;
-        self.input = value_list(&items[6])?
-            .iter()
-            .map(value_event)
-            .collect::<Result<_, _>>()?;
-        self.pending = value_list(&items[7])?
+        self.pending = value_list(&items[6])?
             .iter()
             .map(value_pending)
             .collect::<Result<_, _>>()?;
-        self.commits_applied = value_u64(&items[8])?;
-        let mut snapshots = BTreeMap::new();
-        for entry in value_list(&items[9])? {
-            let pair = value_list(entry)?;
-            let [index, snap_state] = pair else {
-                return Err(err("malformed snapshot entry"));
-            };
-            let mut snap = self.spec.clone();
-            snap.restore_state(snap_state)
-                .map_err(|e| err(format!("restoring snapshot: {e}")))?;
-            snapshots.insert(value_u64(index)?, snap);
-        }
-        self.snapshots = snapshots;
-        self.blocks = value_blocks(&items[10])?;
-        self.position = value_u64(&items[11])?;
-        self.commits_since_quiescent_check = value_u64(&items[12])?;
-        let mut digests = BTreeMap::new();
-        for entry in value_list(&items[13])? {
-            let pair = value_list(entry)?;
-            let [index, digest] = pair else {
-                return Err(err("malformed digest entry"));
-            };
-            digests.insert(value_u64(index)?, digest.clone());
-        }
-        self.digests = digests;
-        let parts = value_list(&items[14])?;
-        let [base_v, sigs_v] = parts else {
-            return Err(err("malformed commit-signature state"));
-        };
-        self.commit_log_base = value_u64(base_v)?;
-        self.commit_log.clear();
-        for sig in value_list(sigs_v)? {
-            let fields = value_list(sig)?;
-            let [method, args, ret] = fields else {
-                return Err(err("malformed commit signature"));
-            };
-            self.commit_log.push_back(CommitSig {
-                method: MethodId::from(value_str(method)?),
-                args: ArgList::from_slice(value_list(args)?),
-                ret: ret.clone(),
-            });
-        }
+        self.commits_applied = value_u64(&items[7])?;
+        self.blocks = value_blocks(&items[8])?;
+        self.position = value_u64(&items[9])?;
+        self.commits_since_quiescent_check = value_u64(&items[10])?;
         // Derived state, recomputed rather than trusted from the file.
-        self.observers_inflight = self
-            .pending
-            .values()
-            .filter(|p| p.kind == MethodKind::Observer)
-            .count();
+        self.searching = self.pending.values().filter(|p| p.searching()).count();
+        self.input.clear();
         self.returns_buffered.clear();
-        for e in self.input.iter().chain(self.lookahead.iter()) {
-            if let Event::Return { tid, .. } = e {
-                *self.returns_buffered.entry(*tid).or_insert(0) += 1;
-            }
+        self.parked_on = None;
+        for event in input {
+            self.push(event);
         }
         self.witness.clear();
         Ok(())

@@ -617,21 +617,25 @@ fn check_receiver_consumes_an_online_stream() {
 }
 
 #[test]
-fn snapshots_are_garbage_collected() {
-    // Interleave many mutators with short-lived observers; after each
-    // observer resolves, its snapshots must be dropped.
+fn short_lived_observers_leave_nothing_behind() {
+    // Interleave many mutators with short-lived observers: no commit
+    // lands inside any of the 50 windows, so each observer is judged
+    // once, at its call, and is searching no longer when it returns.
     let mut events = Vec::new();
     for i in 0..50 {
         events.extend(put(0, 1, i));
         events.extend(get(1, 1, i));
     }
-    let report = io_check(events);
+    let mut checker = Checker::lin(RegSpec::default());
+    for event in events {
+        checker.feed(event);
+    }
+    assert_eq!(checker.searching, 0);
+    assert!(checker.pending.is_empty() && checker.returns_buffered.is_empty());
+    let report = checker.into_report();
     assert!(report.passed());
-    // No commit lands inside any of the 50 windows, so each observer is
-    // judged against the live state and nothing is ever copied. (This
-    // read 50 while every observer call cloned the spec up front; that
-    // clone is the cost copy-on-first-commit anchors removed.)
-    assert_eq!(report.stats.snapshots_taken, 0);
+    assert_eq!(report.stats.lin_windows_searched, 50);
+    assert_eq!(report.stats.lin_witness_backtracks, 0);
 }
 
 /// `n` Puts by thread 0, register 1 counting up from `from`: after them
@@ -650,33 +654,26 @@ fn continue_check(events: Vec<Event>) -> crate::violation::Report {
 }
 
 #[test]
-fn staggered_windows_keep_their_own_start_states_across_gc() {
-    // A's window is [5..=7], B's [6..=8]. Neither call copies anything:
-    // commit 5 anchors s_5 for A, commit 6 anchors s_6 for B. When A
-    // returns, GC drops everything below B's start — s_6 and the
-    // signatures from 6 on must survive it, or B cannot be judged.
+fn staggered_windows_are_judged_from_their_own_start_states() {
+    // A's window is [5..=7], B's [6..=8]. Each is judged from its own
+    // call on: A's return must not end B's search, and s_5 — a state
+    // only A's window holds — must not widen B's.
     let trace = |b_saw: i64| {
         let mut events = puts(1, 5); // s_5: reg 1 = 5
         events.push(call(8, "Get", &[1])); // A opens at 5
         events.extend(puts(6, 1)); // commit 5 -> s_6: reg 1 = 6
         events.push(call(9, "Get", &[1])); // B opens at 6
         events.extend(puts(7, 1)); // commit 6 -> s_7
-        events.push(ret(8, "Get", Value::from(5i64))); // A resolves at s_5; GC
+        events.push(ret(8, "Get", Value::from(5i64))); // A resolves at s_5
         events.extend(puts(8, 1)); // commit 7 -> s_8
         events.push(ret(9, "Get", Value::from(b_saw)));
         events
     };
     let at_start = io_check(trace(6));
     assert!(at_start.passed(), "B saw s_6: {at_start}");
-    assert_eq!(at_start.stats.snapshots_taken, 2, "one anchor per window");
-    assert_eq!(at_start.stats.snapshot_replays, 0);
     let inside = io_check(trace(7));
     assert!(inside.passed(), "B saw s_7: {inside}");
-    assert_eq!(
-        inside.stats.snapshot_replays, 1,
-        "s_7 is s_6 plus signature 6"
-    );
-    // s_5 is below B's window: A's anchor must not widen it.
+    // s_5 is below B's window.
     match io_check(trace(5)).violation.expect("5 is not in [6..=8]") {
         Violation::ObserverUnjustified {
             window_start,
@@ -689,8 +686,8 @@ fn staggered_windows_keep_their_own_start_states_across_gc() {
 
 #[test]
 fn explicit_observer_commit_survives_later_commits() {
-    // The observer pins s_2 with an explicit commit and pins no copy of
-    // it; three commits then overwrite the live state before it returns.
+    // The observer pins s_2 with an explicit commit; three commits then
+    // overwrite the live state before it returns.
     let trace = |saw: i64| {
         let mut events = puts(1, 2); // s_2: reg 1 = 2
         events.push(call(9, "Get", &[1]));
@@ -701,7 +698,6 @@ fn explicit_observer_commit_survives_later_commits() {
     };
     let report = io_check(trace(2));
     assert!(report.passed(), "{report}");
-    assert_eq!(report.stats.snapshots_taken, 1);
     for overwritten_or_later in [3, 5] {
         match io_check(trace(overwritten_or_later))
             .violation
@@ -719,9 +715,9 @@ fn explicit_observer_commit_survives_later_commits() {
 
 #[test]
 fn a_rejected_commit_inside_a_window_leaves_it_resolvable() {
-    // The spec refuses a commit while the window is open and
-    // un-anchored: no state index is consumed, and the commits after it
-    // still anchor and replay the window correctly.
+    // The spec refuses a commit while the window is open: no state index
+    // is consumed and no candidate judged, and the commits after it still
+    // extend the window correctly.
     let trace = |saw: i64| {
         let mut events = puts(1, 1); // s_1: reg 1 = 1
         events.push(call(9, "Get", &[1])); // opens at 1
@@ -746,7 +742,6 @@ fn a_rejected_commit_inside_a_window_leaves_it_resolvable() {
             report.stats.methods_completed, 5,
             "the observer was justified"
         );
-        assert_eq!(report.stats.snapshots_taken, 1);
     }
     // An observation outside [1..=3] is not: the observer does not complete.
     assert_eq!(continue_check(trace(0)).stats.methods_completed, 4);
@@ -759,9 +754,9 @@ fn a_rejected_commit_inside_a_window_leaves_it_resolvable() {
 }
 
 #[test]
-fn checkpoint_with_an_unanchored_window_resumes_identically() {
-    // Saved while an observer is in flight and nothing has been copied
-    // for it; the commit that needs the anchor lands after the restore.
+fn checkpoint_while_parked_at_an_observer_call_resumes_identically() {
+    // Saved while the pump is parked at an observer's call, its return
+    // not fed yet; the whole window lands after the restore.
     let mut events = puts(1, 3);
     events.push(call(9, "Get", &[1]));
     let resume_at = events.len();
@@ -771,18 +766,14 @@ fn checkpoint_with_an_unanchored_window_resumes_identically() {
 
     let uninterrupted = io_check(events.clone());
     assert!(uninterrupted.passed(), "{uninterrupted}");
-    assert!(uninterrupted.stats.snapshot_replays >= 1);
 
     let mut first = Checker::io(RegSpec::default());
     for event in &events[..resume_at] {
         first.feed(event.clone());
     }
     let state = first.save_state().expect("RegSpec checkpoints");
-    assert_eq!(
-        first.into_report().stats.snapshots_taken,
-        0,
-        "un-anchored at the save"
-    );
+    assert_eq!(first.parked_on, Some(t(9)), "parked at the save");
+    assert_eq!(first.input.len(), 1, "the call is fed, not stepped");
     let mut resumed = Checker::io(RegSpec::default());
     resumed.restore_state(&state).unwrap();
     for event in &events[resume_at..] {
@@ -803,6 +794,7 @@ fn checkpoint_with_an_unanchored_window_resumes_identically() {
     }
     let (resumed, whole) = (resumed.into_report(), io_check(bad));
     assert_eq!(resumed.violation, whole.violation);
+    assert_eq!(resumed.stats, whole.stats);
     assert_eq!(
         whole.violation.as_ref().map(Violation::category),
         Some("observer-unjustified")
@@ -810,35 +802,215 @@ fn checkpoint_with_an_unanchored_window_resumes_identically() {
 }
 
 #[test]
-fn overlapping_observers_elide_per_commit_snapshots() {
-    // One long-running observer spanning 3 commits. Only the
-    // window-start anchor is kept; intermediate states are reconstructed
-    // by replaying commit signatures, so far fewer snapshots are taken
-    // than commits spanned.
+fn a_long_running_observer_is_justified_mid_window() {
+    // One long-running observer spanning 3 commits, justified by the
+    // state after the second: it searches through two candidates and
+    // stops, so the third commit re-judges nothing.
     let mut events = vec![call(9, "Get", &[1])];
     for i in 1..=3 {
         events.extend(put(0, 1, i));
     }
     events.push(ret(9, "Get", Value::from(2i64))); // value after 2nd commit
-    let report = io_check(events);
+    let report = Checker::lin(RegSpec::default()).check_events(events);
     assert!(report.passed(), "{report}");
-    assert!(
-        report.stats.snapshots_taken < 3,
-        "expected elided snapshots, took {}",
-        report.stats.snapshots_taken
-    );
-    assert!(
-        report.stats.snapshot_replays >= 1,
-        "window must have been resolved by signature replay: {:?}",
-        report.stats
-    );
+    assert_eq!(report.stats.lin_witness_backtracks, 2, "s_0 and s_1 rejected");
+}
+
+fn lin_options(stop_at_first_violation: bool) -> Checker<RegSpec> {
+    Checker::lin(RegSpec::default()).with_options(CheckerOptions {
+        stop_at_first_violation,
+        ..CheckerOptions::default()
+    })
+}
+
+#[test]
+fn checkpoint_inside_a_window_carries_the_return_and_the_search() {
+    // The observer's return is fed while a mutator's is still out: the
+    // pump has read the observation ahead, judged s_0 and s_1, and is
+    // parked on thread 1's commit with the search unfinished.
+    let trace = |saw: i64| {
+        let mut events = vec![call(9, "Get", &[1])];
+        events.extend(puts(1, 1)); // s_1: reg 1 = 1
+        events.extend([call(1, "Put", &[1, 2]), write(1, 1, 2), commit(1)]);
+        events.push(ret(9, "Get", Value::from(saw)));
+        events.push(ret(1, "Put", Value::Unit)); // s_2 lands here
+        events
+    };
+    for (saw, category) in [(2, None), (7, Some("observer-unjustified"))] {
+        let events = trace(saw);
+        let cut = events.len() - 1;
+        let whole = lin_options(true).check_events(events.clone());
+        assert_eq!(whole.violation.as_ref().map(Violation::category), category);
+
+        let mut first = lin_options(true);
+        for event in &events[..cut] {
+            first.feed(event.clone());
+        }
+        assert_eq!((first.parked_on, first.searching), (Some(t(1)), 1));
+        let state = first.save_state().expect("RegSpec checkpoints");
+        let mut resumed = lin_options(true);
+        resumed.restore_state(&state).unwrap();
+        let open = &resumed.pending[&t(9)];
+        assert_eq!(open.ret, Some(Value::from(saw)));
+        assert_eq!((open.justified, open.rejected), (false, 2));
+        assert_eq!(resumed.searching, 1, "recomputed, not stored");
+        for event in &events[cut..] {
+            resumed.feed(event.clone());
+        }
+        let resumed = resumed.into_report();
+        assert_eq!(resumed.violation, whole.violation);
+        assert_eq!(resumed.stats, whole.stats);
+    }
+}
+
+/// Everything a report holds, with the two counters that describe how
+/// the input was delivered (not what it held) cleared.
+fn modulo_batching(
+    report: crate::violation::Report,
+) -> (Option<Violation>, crate::violation::CheckStats, crate::violation::Degradation) {
+    let mut stats = report.stats;
+    stats.batches = 0;
+    stats.batch_events = 0;
+    (report.violation, stats, report.degradation)
+}
+
+#[test]
+fn a_far_away_return_reads_the_same_however_the_log_is_fed() {
+    use crate::checker::SteppingChecker;
+    // The observer's return arrives 3 000 events after its call; the
+    // pump parks at the call under per-event feeding, never under one
+    // batch, and every 8 events in between.
+    for (saw, category) in [(400, None), (-1, Some("observer-unjustified"))] {
+        let mut events = vec![call(9, "Get", &[1])];
+        events.extend(puts(1, 750));
+        assert_eq!(events.len(), 3_001);
+        events.push(ret(9, "Get", Value::from(saw)));
+        events.extend(get(8, 1, 750));
+
+        let whole = modulo_batching(lin_options(false).check_events(events.clone()));
+        assert_eq!(whole.0.as_ref().map(Violation::category), category);
+        assert_eq!(whole.1.events, events.len() as u64);
+        let expected_rejects = if saw == 400 { 400 } else { 751 };
+        assert_eq!(whole.1.lin_witness_backtracks, expected_rejects);
+
+        let mut per_event = lin_options(false);
+        for event in &events[..3_001] {
+            per_event.feed(event.clone());
+        }
+        assert_eq!(per_event.parked_on, Some(t(9)));
+        assert_eq!(per_event.stats.events, 0, "nothing steps past the call");
+        for event in &events[3_001..] {
+            per_event.feed(event.clone());
+        }
+        assert_eq!(modulo_batching(per_event.into_report()), whole);
+
+        for batch_size in [8, events.len()] {
+            let mut batched = lin_options(false);
+            for chunk in events.chunks(batch_size) {
+                batched.feed_batch(&mut chunk.to_vec());
+            }
+            assert_eq!(modulo_batching(batched.into_report()), whole);
+        }
+    }
+}
+
+#[test]
+fn a_shed_return_unparks_at_the_threads_next_return() {
+    // Thread 9's Get lost its return (and the Put after it its call and
+    // commit) to shedding: the pump parks at the Get's call until the
+    // thread's next return is fed, then reports the pair as the log
+    // always did.
+    let mut events = puts(1, 3);
+    events.push(call(9, "Get", &[1]));
+    events.extend(puts(4, 3));
+    let parked_at = events.len();
+    events.push(ret(9, "Put", Value::Unit));
+    let mut checker = Checker::io(RegSpec::default());
+    for event in &events[..parked_at] {
+        checker.feed(event.clone());
+    }
+    assert_eq!(checker.parked_on, Some(t(9)));
+    assert_eq!(checker.stats.events, 12, "parked at the call");
+    checker.feed(events[parked_at].clone());
+    assert!(checker.halted() && checker.parked_on.is_none());
+    match checker.into_report().violation.expect("malformed") {
+        Violation::MalformedLog {
+            detail,
+            log_position,
+        } => {
+            assert_eq!(
+                detail,
+                "T9 returned from Put but the open execution is Get"
+            );
+            assert_eq!(log_position, parked_at as u64);
+        }
+        v => panic!("wrong violation {v}"),
+    }
+    // A return that never arrives at all: nothing parks at the end of the
+    // log, and an observer still open there is no violation.
+    let report = io_check(events[..parked_at].to_vec());
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.stats.events, parked_at as u64);
+    assert_eq!(report.stats.observers_checked, 0);
+}
+
+#[test]
+fn a_mismatched_observer_return_releases_its_window() {
+    // Continue-after-violation mode: the bad pair must cost exactly its
+    // own verdict — nothing about it may outlive its removal.
+    let trace = |bad_pair: bool| {
+        let mut events = puts(1, 3);
+        if bad_pair {
+            events.extend([call(9, "Get", &[1]), ret(9, "Put", Value::Unit)]);
+        }
+        events.extend(puts(4, 50));
+        events.extend(get(8, 1, 53));
+        events
+    };
+    let mut checker = lin_options(false);
+    for event in trace(true) {
+        checker.feed(event);
+    }
+    assert_eq!(checker.searching, 0);
+    assert!(checker.parked_on.is_none() && checker.pending.is_empty());
+    let with_pair = checker.into_report();
+    match &with_pair.violation {
+        Some(Violation::MalformedLog { log_position, .. }) => assert_eq!(*log_position, 13),
+        v => panic!("wrong verdict {v:?}"),
+    }
+    let mut spliced = lin_options(false).check_events(trace(false));
+    assert!(spliced.passed(), "{spliced}");
+    spliced.stats.events += 2;
+    assert_eq!(with_pair.stats, spliced.stats);
+}
+
+#[test]
+fn the_return_table_holds_only_threads_with_a_return_buffered() {
+    // Some drivers mint a logger, hence a fresh thread id, per call: an
+    // entry kept after its last return was stepped would be one per call.
+    let mut checker = Checker::io(RegSpec::default());
+    for i in 0..100_000u32 {
+        let execution = if i % 2 == 0 {
+            put(i, 1, i64::from(i))
+        } else {
+            get(i, 1, i64::from(i) - 1)
+        };
+        for event in execution {
+            checker.feed(event);
+            assert!(checker.returns_buffered.len() <= 1);
+        }
+        assert!(checker.returns_buffered.is_empty() && checker.pending.is_empty());
+    }
+    let report = checker.into_report();
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.stats.methods_completed, 100_000);
 }
 
 #[test]
 fn continue_mode_keeps_snapshotting_for_pending_observers() {
-    // Regression: a violation early in the trace must not stop snapshot
-    // bookkeeping — an observer still in flight resolves later and reads
-    // the snapshots of the commits inside its window.
+    // Regression: a violation early in the trace must not stop window
+    // bookkeeping — an observer still in flight resolves later, against
+    // the states of the commits inside its window.
     let events = vec![
         // Violation: unknown mutator.
         call(0, "Frobnicate", &[1]),

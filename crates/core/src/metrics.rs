@@ -134,8 +134,6 @@ pub struct PipelineMetrics {
     pub checker_methods_completed: Arc<Counter>,
     /// Observer windows checked (§4.3).
     pub checker_observers_checked: Arc<Counter>,
-    /// Specification snapshots taken for observer windows.
-    pub checker_snapshots_taken: Arc<Counter>,
     /// View comparisons performed (§5).
     pub checker_view_comparisons: Arc<Counter>,
     /// Individual view keys compared (full vs incremental, §6.4).
@@ -152,17 +150,12 @@ pub struct PipelineMetrics {
     pub checker_batch_events: Arc<Counter>,
     /// Events per drained consume batch.
     pub checker_batch_occupancy: Arc<Histogram>,
-    /// Commit signatures re-applied to reconstruct window states.
-    pub checker_snapshot_replays: Arc<Counter>,
 
     // -- Linearizability checking mode (Checker::lin) --
     /// Observer windows searched for a linearization witness.
     pub checker_lin_windows_searched: Arc<Counter>,
     /// Window candidates rejected during lin witness searches.
     pub checker_lin_witness_backtracks: Arc<Counter>,
-    /// Lin windows resolved entirely via the fixed-ADT observation
-    /// digest (no full specification snapshot consulted).
-    pub checker_lin_fastpath_hits: Arc<Counter>,
 
     // -- Log decode (crate::codec) --
     /// Events decoded by buffered log readers.
@@ -241,7 +234,6 @@ pub fn pipeline() -> &'static PipelineMetrics {
         checker_commits_applied: metrics::counter("checker.commits_applied"),
         checker_methods_completed: metrics::counter("checker.methods_completed"),
         checker_observers_checked: metrics::counter("checker.observers_checked"),
-        checker_snapshots_taken: metrics::counter("checker.snapshots_taken"),
         checker_view_comparisons: metrics::counter("checker.view_comparisons"),
         checker_view_keys_compared: metrics::counter("checker.view_keys_compared"),
         checker_writes_replayed: metrics::counter("checker.writes_replayed"),
@@ -249,10 +241,8 @@ pub fn pipeline() -> &'static PipelineMetrics {
         checker_batches: metrics::counter("checker.batches"),
         checker_batch_events: metrics::counter("checker.batch_events"),
         checker_batch_occupancy: metrics::histogram("checker.batch_occupancy"),
-        checker_snapshot_replays: metrics::counter("checker.snapshot_replays"),
         checker_lin_windows_searched: metrics::counter("lin.windows_searched"),
         checker_lin_witness_backtracks: metrics::counter("lin.witness_backtracks"),
-        checker_lin_fastpath_hits: metrics::counter("lin.fastpath_hits"),
         decode_events: metrics::counter("decode.events"),
         decode_bytes: metrics::counter("decode.bytes"),
         decode_frames: metrics::counter("decode.frames"),

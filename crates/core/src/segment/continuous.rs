@@ -534,38 +534,65 @@ mod tests {
         let mut checker = Checker::io(CountSpec::default());
         let saved = checker.save_state().unwrap();
         checker.restore_state(&saved).unwrap();
-        // A checkpoint file is outside input: the retired 14-field layout
-        // (and any other field count) must fail to restore, not default.
+        // A checkpoint file is outside input: any other field count must
+        // fail to restore, not default.
         let Value::List(mut fields) = saved else {
             panic!("state is a list")
         };
         fields.pop();
         let err = checker.restore_state(&Value::List(fields)).unwrap_err();
-        assert!(err.message().contains("expected 15 fields"), "{err}");
-        // So must the retired version-1 layout, whose field count matches.
+        assert!(err.message().contains("expected 11 fields"), "{err}");
+        // So must the retired version-2 layout, and a state of today's
+        // field count under its version tag.
         let saved = checker.save_state().unwrap();
-        let err = checker.restore_state(&as_version_1(&saved)).unwrap_err();
-        assert!(
-            err.message().contains("unsupported checkpoint state version"),
-            "{err}"
-        );
+        let mut retagged = saved.as_list().unwrap().to_vec();
+        retagged[0] = Value::from(2i64);
+        for retired in [as_version_2(&saved), Value::List(retagged)] {
+            let err = checker.restore_state(&retired).unwrap_err();
+            assert!(
+                err.message().contains("unsupported checkpoint state version"),
+                "{err}"
+            );
+        }
     }
 
-    /// A saved (version-2) checker state in the retired version-1 layout:
-    /// field 0 = 1, one retention slot in front of field 15's `[base, sigs]`.
-    fn as_version_1(state: &Value) -> Value {
-        let mut fields = state.as_list().expect("state is a list").to_vec();
-        fields[0] = Value::from(1i64);
-        let mut commit_log = fields[14].as_list().expect("[base, sigs]").to_vec();
-        commit_log.insert(0, Value::from(4i64));
-        fields[14] = Value::List(commit_log);
-        Value::List(fields)
+    /// A saved (version-3) checker state, hand-built into the retired
+    /// version-2 layout: field 0 = 2 and the 15 fields of that layout —
+    /// the scan-ahead queue, the two per-window-state maps and the
+    /// `[base, sigs]` signature log back in their places (all empty), 15
+    /// stats counters, 7-item pending entries.
+    fn as_version_2(state: &Value) -> Value {
+        let f = state.as_list().expect("state is a list");
+        let empty = || Value::List(Vec::new());
+        let mut stats = f[3].as_list().expect("stats").to_vec();
+        for at in [4, 11, 14] {
+            stats.insert(at, Value::from(0i64));
+        }
+        let pending = f[6].as_list().expect("pending").iter();
+        let pending = pending.map(|p| Value::List(p.as_list().expect("entry")[..7].to_vec()));
+        Value::List(vec![
+            Value::from(2i64),
+            f[1].clone(),
+            f[2].clone(),
+            Value::List(stats),
+            f[4].clone(),
+            empty(),
+            f[5].clone(),
+            Value::List(pending.collect()),
+            f[7].clone(),
+            empty(),
+            f[8].clone(),
+            f[9].clone(),
+            f[10].clone(),
+            empty(),
+            Value::List(vec![Value::from(0i64), empty()]),
+        ])
     }
 
     #[test]
     fn retired_checkpoint_layout_degrades_never_forges() {
         for delete_checked in [false, true] {
-            let dir = temp_dir(&format!("continuous-v1-state-{delete_checked}"));
+            let dir = temp_dir(&format!("continuous-v2-state-{delete_checked}"));
             std::fs::remove_dir_all(&dir).ok();
             let total = record(&dir, 40, 256);
             let options = ContinuousOptions {
@@ -577,11 +604,11 @@ mod tests {
             assert!(first.next_seq() > 0);
             drop(first);
 
-            // Leave one checkpoint, its states in the version-1 layout.
+            // Leave one checkpoint, its states in the version-2 layout.
             let checkpoints = checkpoint::list_checkpoints(&dir).unwrap();
             let mut newest = checkpoint::read_checkpoint(&checkpoints[0]).unwrap();
             for (_, state) in &mut newest.states {
-                *state = as_version_1(state);
+                *state = as_version_2(state);
             }
             for path in checkpoints {
                 std::fs::remove_file(path).unwrap();

@@ -87,12 +87,10 @@ impl SpecEffect {
 
 /// A method-atomic, deterministic executable specification.
 ///
-/// Implementations must be `Clone` because the observer-window check (§4.3)
-/// needs the states an in-flight observer may have seen after commits have
-/// overwritten them: the checker copies a window's start state when the
-/// first commit inside it is about to overwrite that state, and rebuilds
-/// the rest by re-applying recorded commits to one more copy of it. An
-/// observer whose window holds no commit costs no clone.
+/// The checker proper never copies a specification: observer windows
+/// (§4.3) are judged against the one live state as commits land. `Clone`
+/// is required only by [`checker::naive`](crate::checker::naive), the
+/// exhaustive reference search, which branches on specification states.
 ///
 /// # Examples
 ///
@@ -187,33 +185,15 @@ pub trait Spec: Clone + Send + 'static {
         ))
     }
 
-    /// A compact summary of the current state that is *sufficient* to
-    /// judge any observer return value — the fixed-ADT fast path of the
-    /// linearizability checking mode (`Checker::lin`).
-    ///
-    /// For a stack, every `Peek` depends only on the top element; for a
-    /// queue, every `Front` depends only on the front element — so a
-    /// window candidate can be retained as one [`Value`] instead of a
-    /// full specification clone. Specs with such a summary override
-    /// this pair; the `None` default makes the lin checker fall back to
-    /// full snapshots and [`Spec::accepts_observation`].
-    ///
-    /// Contract: a spec must return `Some` at *every* state or at none
-    /// — the lin checker decides snapshot retention per window index
-    /// from this answer, and a spec that flips mid-run would leave some
-    /// window states with neither digest nor snapshot.
+    /// Inert: nothing consults it (no window state is retained to digest).
+    /// It survives only because the frozen `benchmark/src/probe.rs`
+    /// forwards it; ROADMAP item 2(f) removes that forward and then this.
     fn observation_digest(&self) -> Option<Value> {
         None
     }
 
-    /// Is `ret` a valid return value for observer `method(args)` at a
-    /// state summarized by `digest` (produced by
-    /// [`Spec::observation_digest`] at that state)?
-    ///
-    /// Must agree with [`Spec::accepts_observation`] evaluated at the
-    /// digested state; the property tests for lin/io agreement pin
-    /// this. The default rejects everything, matching the `None`
-    /// default of `observation_digest`.
+    /// Inert, like [`Spec::observation_digest`] and for the same reason;
+    /// removal is ROADMAP item 2(f).
     fn accepts_observation_digest(
         &self,
         _method: &MethodId,

@@ -253,8 +253,6 @@ pub struct CheckStats {
     pub methods_completed: u64,
     /// Observer executions checked.
     pub observers_checked: u64,
-    /// Specification copies taken as observer-window start anchors.
-    pub snapshots_taken: u64,
     /// View comparisons performed (one per mutator commit in view mode).
     pub view_comparisons: u64,
     /// Individual view keys compared (incremental mode compares fewer).
@@ -267,9 +265,6 @@ pub struct CheckStats {
     /// Window candidates rejected before a witness was found (or the
     /// window was exhausted) across all lin-mode searches.
     pub lin_witness_backtracks: u64,
-    /// Lin-mode windows resolved entirely through the fixed-ADT
-    /// observation digest — no full specification snapshot consulted.
-    pub lin_fastpath_hits: u64,
     /// Channel batches consumed by the batched online path
     /// (`SteppingChecker::check`'s `recv_up_to` loop); zero offline.
     pub batches: u64,
@@ -277,9 +272,6 @@ pub struct CheckStats {
     /// `events` when a violation stopped the run mid-batch (the rest of
     /// the batch was received but not processed).
     pub batch_events: u64,
-    /// Commit signatures re-applied to reconstruct observer-window states
-    /// from their window's start anchor.
-    pub snapshot_replays: u64,
     /// Events the program appended after the log was closed — actions the
     /// verifier never saw (straggler threads still running at
     /// `finish()`). Nonzero means the verdict covers a prefix of the
@@ -297,32 +289,26 @@ impl CheckStats {
             commits_applied,
             methods_completed,
             observers_checked,
-            snapshots_taken,
             view_comparisons,
             view_keys_compared,
             writes_replayed,
             lin_windows_searched,
             lin_witness_backtracks,
-            lin_fastpath_hits,
             batches,
             batch_events,
-            snapshot_replays,
             events_discarded_after_close,
         } = *other;
         self.events += events;
         self.commits_applied += commits_applied;
         self.methods_completed += methods_completed;
         self.observers_checked += observers_checked;
-        self.snapshots_taken += snapshots_taken;
         self.view_comparisons += view_comparisons;
         self.view_keys_compared += view_keys_compared;
         self.writes_replayed += writes_replayed;
         self.lin_windows_searched += lin_windows_searched;
         self.lin_witness_backtracks += lin_witness_backtracks;
-        self.lin_fastpath_hits += lin_fastpath_hits;
         self.batches += batches;
         self.batch_events += batch_events;
-        self.snapshot_replays += snapshot_replays;
         self.events_discarded_after_close += events_discarded_after_close;
     }
 }

@@ -15,8 +15,15 @@
 //!
 //! A second generator shape, [`long_window_log`], holds three staggered
 //! observers open across 200+ commits each (one pinned by an explicit
-//! commit) so the same properties also cover deep window replay, plus a
-//! checkpoint cut inside all three windows.
+//! commit) so the same properties also cover long window searches, plus
+//! a checkpoint cut inside all three windows.
+//!
+//! * **§4.3, literally**: [`literal_4_3`] keeps a copy of the
+//!   specification after every commit and scans each observer's window at
+//!   its return; the checker, which keeps none, must report the same
+//!   violation and reject the same number of candidates on every log of
+//!   both shapes, valid, corrupted, pinned, and with a commit the
+//!   specification refuses spliced in.
 //!
 //! Properties run over fixed seed blocks via [`vyrd_rt::rng`]; every
 //! assertion message names the failing seed so a counterexample replays
@@ -30,6 +37,7 @@ use vyrd_core::checker::{Checker, CheckerOptions};
 use vyrd_core::replay::Replayer;
 use vyrd_core::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use vyrd_core::view::View;
+use vyrd_core::violation::Violation;
 use vyrd_core::{Event, MethodId, ObjectId, Report, ThreadId, Value, VarId};
 
 const KEYS: i64 = 3;
@@ -267,14 +275,9 @@ struct LongLog {
     /// call, before the first observer return.
     cut: usize,
     /// How far the state justifying a return lies from its window's
-    /// start, at most: one more than a lower bound on signatures replayed.
+    /// start, at most: the longest search any of the three makes.
     deepest_walk: u64,
 }
-
-/// Window starts a commit lands on in a [`long_window_log`] — the three
-/// observer calls and the explicit observer commit — and so the most
-/// specification copies its check may take.
-const LONG_LOG_ANCHORS: u64 = 4;
 
 const LONG_SEEDS: std::ops::Range<u64> = 600..618;
 
@@ -288,8 +291,8 @@ fn value_at(commits: &[(i64, i64)], k: i64, j: usize) -> i64 {
 /// commits. Observer `seed % 3` is pinned mid-window by an explicit commit
 /// and returns that state's value; the other two return their window's
 /// first, a middle or its last state's value, cycling with the seed — a
-/// `Last` walks its whole window by signature replay, because the commit
-/// just before its return is a `Put` to its own key.
+/// `Last` searches its whole window, because the commit just before its
+/// return is a `Put` to its own key.
 fn long_window_log(seed: u64) -> LongLog {
     let mut rng = Rng::seed_from_u64(seed);
     let pinned = (seed % 3) as usize;
@@ -443,10 +446,6 @@ fn generated_valid_logs_pass_io() {
     for_each_long_case(|_, log| {
         let stats = passes_io(log.events).stats;
         assert_eq!(stats.observers_checked, 3);
-        // One copy per window start a commit lands on, never one per
-        // so-many commits inside a window.
-        assert!(stats.snapshots_taken <= LONG_LOG_ANCHORS, "{stats:?}");
-        assert!(stats.snapshot_replays + 1 >= log.deepest_walk, "{stats:?}");
     });
     let deepest = LONG_SEEDS.map(|seed| long_window_log(seed).deepest_walk).max();
     assert!(deepest >= Some(200), "no seed walks a whole window: {deepest:?}");
@@ -476,22 +475,13 @@ fn generated_valid_logs_pass_view() {
     for_each_long_case(|_, log| passes_view(log.events));
 }
 
-fn corrupted_observer_return_fails(seed: u64, mut events: Vec<Event>, observer_returns: &[usize]) {
+fn corrupted_observer_return_fails(seed: u64, events: Vec<Event>, observer_returns: &[usize]) {
     if observer_returns.is_empty() {
         return;
     }
     let mut rng = Rng::seed_from_u64(seed ^ 0xDEAD);
     let idx = observer_returns[rng.gen_range(0..observer_returns.len())];
-    // Replace the observed value with one no register ever holds.
-    let Event::Return { tid, method, .. } = &events[idx] else {
-        panic!("index does not point at a return");
-    };
-    events[idx] = Event::Return {
-        tid: *tid,
-        object: OBJ,
-        method: *method,
-        ret: Value::from(-1i64),
-    };
+    let events = with_corrupted_return(events, idx);
     let report = Checker::io(RegSpec::default()).check_events(events);
     assert!(!report.passed(), "corruption must be detected");
     assert_eq!(
@@ -508,6 +498,162 @@ fn corrupted_observer_returns_fail() {
     });
     for_each_long_case(|seed, log| {
         corrupted_observer_return_fails(seed, log.events, &log.observer_returns);
+    });
+}
+
+/// §4.3 at its most literal, as the oracle: the specification is cloned
+/// after *every* commit, and an observer's return is judged when it
+/// arrives by scanning the states of its window in ascending order. What
+/// the checker used to reconstruct and now never stores. Returns the
+/// first violation and the number of candidates rejected over the log.
+fn literal_4_3(events: &[Event]) -> (Option<Violation>, u64) {
+    let mut states = vec![RegSpec::default()];
+    // Per thread: method, args, window start, explicit-commit pin.
+    let mut open: BTreeMap<ThreadId, (MethodId, Vec<Value>, usize, Option<usize>)> = BTreeMap::new();
+    let (mut first, mut rejected) = (None, 0u64);
+    for (position, event) in events.iter().enumerate() {
+        let log_position = position as u64;
+        match event {
+            Event::Call { tid, method, args, .. } => {
+                open.insert(*tid, (*method, args.to_vec(), states.len() - 1, None));
+            }
+            Event::Commit { tid, .. } => {
+                let (method, args, _, pin) = open.get_mut(tid).expect("well-formed");
+                if method.name() == "Get" {
+                    *pin = Some(states.len() - 1);
+                    continue;
+                }
+                let ret = events[position..].iter().find_map(|e| match e {
+                    Event::Return { tid: t, ret, .. } if t == tid => Some(ret.clone()),
+                    _ => None,
+                });
+                let (ret, mut next) = (ret.expect("well-formed"), states[states.len() - 1].clone());
+                match next.apply(method, args, &ret) {
+                    Ok(_) => states.push(next),
+                    Err(err) => drop(first.get_or_insert(Violation::SpecRejectedCommit {
+                        tid: *tid,
+                        method: *method,
+                        args: args.clone(),
+                        ret,
+                        reason: err.message().to_owned(),
+                        commit_index: states.len() as u64 - 1,
+                        log_position,
+                    })),
+                }
+            }
+            Event::Return { tid, method, ret, .. } if method.name() == "Get" => {
+                let (_, args, start, pin) = open.remove(tid).expect("well-formed");
+                let (lo, hi) = pin.map_or((start, states.len() - 1), |c| (c, c));
+                let misses = (lo..=hi)
+                    .take_while(|&j| !states[j].accepts_observation(method, &args, ret))
+                    .count();
+                rejected += misses as u64;
+                if misses == hi - lo + 1 {
+                    first.get_or_insert(Violation::ObserverUnjustified {
+                        tid: *tid,
+                        method: *method,
+                        args,
+                        ret: ret.clone(),
+                        window_start: lo as u64,
+                        window_end: hi as u64,
+                        log_position,
+                    });
+                }
+            }
+            Event::Return { tid, .. } => drop(open.remove(tid)),
+            _ => {}
+        }
+    }
+    (first, rejected)
+}
+
+/// Runs `events` through the checker and through [`literal_4_3`]: same
+/// first violation to the field, same number of rejected candidates.
+fn agrees_with_literal_4_3(events: &[Event]) {
+    let (violation, rejected) = literal_4_3(events);
+    let lin = |stop_at_first_violation| {
+        Checker::lin(RegSpec::default())
+            .with_options(CheckerOptions {
+                stop_at_first_violation,
+                ..Default::default()
+            })
+            .check_events(events.to_vec())
+    };
+    let whole = lin(false);
+    assert_eq!(whole.violation, violation);
+    assert_eq!(whole.stats.lin_witness_backtracks, rejected);
+    assert_eq!(lin(true).violation, violation);
+}
+
+/// `events` with the return at `idx` replaced by a value no register ever
+/// holds.
+fn with_corrupted_return(mut events: Vec<Event>, idx: usize) -> Vec<Event> {
+    let Event::Return { ret, .. } = &mut events[idx] else {
+        panic!("index does not point at a return");
+    };
+    *ret = Value::from(-1i64);
+    events
+}
+
+/// `events` with one more execution spliced in before index `at`, by a
+/// thread of its own: a mutator the specification refuses.
+fn with_rejected_commit(mut events: Vec<Event>, at: usize) -> Vec<Event> {
+    let tid = ThreadId(99);
+    let refused = [
+        Event::Call {
+            tid,
+            object: OBJ,
+            method: "Frobnicate".into(),
+            args: vec![].into(),
+        },
+        Event::Commit { tid, object: OBJ },
+        Event::Return {
+            tid,
+            object: OBJ,
+            method: "Frobnicate".into(),
+            ret: Value::Unit,
+        },
+    ];
+    events.splice(at..at, refused);
+    events
+}
+
+/// Every variation of one generated log the oracle is consulted on.
+fn literal_4_3_variations(seed: u64, events: Vec<Event>, observer_returns: &[usize]) {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x43);
+    agrees_with_literal_4_3(&events);
+    agrees_with_literal_4_3(&with_rejected_commit(
+        events.clone(),
+        rng.gen_range(0..events.len() + 1),
+    ));
+    if observer_returns.is_empty() {
+        return;
+    }
+    let idx = observer_returns[rng.gen_range(0..observer_returns.len())];
+    agrees_with_literal_4_3(&with_corrupted_return(events.clone(), idx));
+    // An explicit observer commit somewhere inside that observer's
+    // execution: the return may or may not be justified at the pin.
+    let Event::Return { tid, .. } = &events[idx] else {
+        unreachable!()
+    };
+    let call = events[..idx]
+        .iter()
+        .rposition(|e| matches!(e, Event::Call { tid: t, .. } if t == tid))
+        .expect("a return has its call");
+    let mut pinned = events.clone();
+    let pin = Event::Commit { tid: *tid, object: OBJ };
+    pinned.insert(rng.gen_range(call + 1..idx + 1), pin);
+    agrees_with_literal_4_3(&pinned);
+}
+
+#[test]
+fn the_checker_agrees_with_section_4_3_taken_literally() {
+    for_each_case(700, 96, 1..6, 1..160, |seed, threads, steps| {
+        let (events, observer_returns) = generate_log(seed, threads, steps);
+        literal_4_3_variations(seed, events, &observer_returns);
+    });
+    for_each_long_case(|seed, log| {
+        literal_4_3_variations(seed, log.events, &log.observer_returns);
     });
 }
 
@@ -611,20 +757,11 @@ mod naive_oracle {
     #[test]
     fn naive_agrees_on_corrupted_observers() {
         for_each_case(500, 48, 1..4, 8..30, |seed, threads, steps| {
-            let (mut events, observer_returns) = generate_log(seed, threads, steps);
+            let (events, observer_returns) = generate_log(seed, threads, steps);
             if observer_returns.is_empty() {
                 return;
             }
-            let idx = observer_returns[0];
-            let Event::Return { tid, method, .. } = &events[idx] else {
-                unreachable!()
-            };
-            events[idx] = Event::Return {
-                tid: *tid,
-                object: OBJ,
-                method: *method,
-                ret: Value::from(-1i64), // never a stored value
-            };
+            let events = with_corrupted_return(events, observer_returns[0]);
             let commit_report = Checker::io(RegSpec::default()).check_events(events.clone());
             assert!(!commit_report.passed());
             let naive = check_exhaustive(&RegSpec::default(), &events, 2_000_000);

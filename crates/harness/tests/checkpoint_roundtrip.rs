@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use vyrd_core::segment::checkpoint::{self, Checkpoint};
 use vyrd_core::violation::{Degradation, Report};
-use vyrd_core::{Event, ObjectId};
+use vyrd_core::{Event, ObjectId, ThreadId, Value};
 use vyrd_harness::scenario::{record_run, CheckKind, Scenario, Variant};
 use vyrd_harness::scenarios;
 use vyrd_harness::workload::WorkloadConfig;
@@ -114,7 +114,6 @@ fn assert_reports_agree(scratch: &Report, resumed: &Report, what: &str) {
         a.lin_witness_backtracks, b.lin_witness_backtracks,
         "{what}: lin witness backtracks"
     );
-    assert_eq!(a.lin_fastpath_hits, b.lin_fastpath_hits, "{what}: lin fastpath hits");
 }
 
 /// Sweeps a few split points (including mid-trace positions certain to
@@ -177,9 +176,11 @@ fn view_checkpoints_round_trip_where_the_replayer_supports_them() {
 
 #[test]
 fn lin_checkpoints_round_trip_with_their_retained_digests() {
-    // Lin mode retains per-window observation digests; they must cross
-    // the checkpoint boundary so a resumed checker searches exactly the
-    // windows — and takes exactly the fast paths — of a from-scratch one.
+    // What a Lin checker retains per open window is the observer's
+    // read-ahead return and how far its search has got (the name predates
+    // that; it stays so the test keeps its id). Both must cross the
+    // checkpoint boundary so a resumed checker searches exactly the
+    // windows — and rejects exactly the candidates — of a from-scratch one.
     for s in scenarios::all().into_iter().chain(scenarios::lockfree()) {
         roundtrip(s.as_ref(), CheckKind::Lin, Variant::Correct, &format!("{}-lin", s.name()));
     }
@@ -191,4 +192,47 @@ fn lin_checkpoints_round_trip_with_their_retained_digests() {
             &format!("{}-lin-buggy", s.name()),
         );
     }
+
+    // A cut certain to fall inside a Lin window whose search is under
+    // way: the Peek's return is fed while the Push's is still out, so the
+    // checker has judged the empty stack, rejected it, and is parked on
+    // the Push's commit.
+    let (peeker, pusher, object) = (ThreadId(1), ThreadId(2), ObjectId(0));
+    let call = |tid, method: &str, args: &[Value]| Event::Call {
+        tid,
+        object,
+        method: method.into(),
+        args: args.into(),
+    };
+    let ret = |tid, method: &str, ret| Event::Return {
+        tid,
+        object,
+        method: method.into(),
+        ret,
+    };
+    let events = [
+        call(peeker, "Peek", &[]),
+        call(pusher, "Push", &[Value::from(5i64)]),
+        Event::Commit { tid: pusher, object },
+        ret(peeker, "Peek", Value::from(5i64)),
+        ret(pusher, "Push", Value::success()),
+    ];
+    let stack = scenarios::by_name("Treiber-Stack").expect("lock-free family");
+    let mut first = stack.stepping_factory(CheckKind::Lin).expect("lin factory")(object);
+    for e in &events[..4] {
+        first.feed(e.clone());
+    }
+    let state = first.save_state().expect("StackSpec checkpoints");
+    let pending = state.as_list().expect("state fields")[6]
+        .as_list()
+        .expect("pending executions");
+    let peek = pending[0].as_list().expect("ordered by thread id");
+    assert_eq!(peek[1], Value::from("Peek"));
+    assert_eq!(peek[7], Value::List(vec![Value::from(5i64)]), "the read-ahead return");
+    assert_eq!((&peek[8], &peek[9]), (&Value::Bool(false), &Value::from(1i64)));
+    let scratch = check_scratch(stack.as_ref(), CheckKind::Lin, &events);
+    assert!(scratch.passed(), "{scratch}");
+    assert_eq!(scratch.stats.lin_witness_backtracks, 1);
+    let resumed = check_via_checkpoint(stack.as_ref(), CheckKind::Lin, &events, 4, "lin-window");
+    assert_reports_agree(&scratch, &resumed, "cut inside a Lin window");
 }

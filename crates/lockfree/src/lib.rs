@@ -58,12 +58,10 @@
 //! has completed, commit append included.
 //!
 //! Specifications live in [`spec`]: [`StackSpec`] (LIFO) and
-//! [`QueueSpec`] (FIFO), both checkpointable and both exposing the
-//! O(1) *observation digest* fast path used by the linearizability
-//! checking mode (`Checker::lin`): for a fixed ADT the only state a
-//! `Peek`/`Front` observation depends on is the top/front element, so a
-//! window candidate can be judged from one retained `Value` instead of
-//! a full specification clone.
+//! [`QueueSpec`] (FIFO), both checkpointable. The linearizability
+//! checking mode (`Checker::lin`) judges a `Peek`/`Front` observation
+//! against each state of its window while that state is the live one,
+//! so neither spec is ever copied.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

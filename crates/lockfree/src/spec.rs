@@ -4,12 +4,9 @@
 //! [`StackSpec`] is a LIFO list, [`QueueSpec`] a FIFO list. Both treat
 //! a failure return from a mutator as the capacity-exhausted no-op
 //! (the arena is fixed-size, like the paper's array multiset), both
-//! checkpoint via `save_state`/`restore_state`, and both implement the
-//! **observation digest** fast path: their only observers (`Peek` /
-//! `Front`) depend on a single element of the state, so a
-//! linearization-window candidate can be judged from one retained
-//! [`Value`] instead of a full specification clone — the fixed-ADT
-//! reduction of Bouajjani et al. applied to window search.
+//! checkpoint via `save_state`/`restore_state`. Their only observers
+//! (`Peek` / `Front`) read a single element of the state, which is all
+//! `accepts_observation` looks at.
 
 use std::collections::VecDeque;
 
@@ -55,17 +52,11 @@ fn value_ints(state: &Value) -> Result<Vec<i64>, SpecError> {
         .collect()
 }
 
-/// The digest an element-or-empty observer needs: the element, or
-/// `Unit` for "empty".
-fn element_digest(element: Option<i64>) -> Value {
-    element.map(Value::from).unwrap_or(Value::Unit)
-}
-
-/// Does `ret` match an element-or-empty digest?
-fn digest_accepts(digest: &Value, ret: &Value) -> bool {
-    match digest {
-        Value::Unit => ret.is_failure(),
-        element => ret == element,
+/// Does `ret` report `element`, or failure when there is none?
+fn reports_element(element: Option<&i64>, ret: &Value) -> bool {
+    match element {
+        Some(&x) => ret.as_int() == Some(x),
+        None => ret.is_failure(),
     }
 }
 
@@ -169,7 +160,7 @@ impl Spec for StackSpec {
 
     fn accepts_observation(&self, method: &MethodId, _args: &[Value], ret: &Value) -> bool {
         method.name() == methods::PEEK
-            && digest_accepts(&element_digest(self.items.last().copied()), ret)
+            && reports_element(self.items.last(), ret)
     }
 
     fn view(&self) -> View {
@@ -183,20 +174,6 @@ impl Spec for StackSpec {
     fn restore_state(&mut self, state: &Value) -> Result<(), SpecError> {
         self.items = value_ints(state)?;
         Ok(())
-    }
-
-    fn observation_digest(&self) -> Option<Value> {
-        Some(element_digest(self.items.last().copied()))
-    }
-
-    fn accepts_observation_digest(
-        &self,
-        method: &MethodId,
-        _args: &[Value],
-        ret: &Value,
-        digest: &Value,
-    ) -> bool {
-        method.name() == methods::PEEK && digest_accepts(digest, ret)
     }
 }
 
@@ -291,7 +268,7 @@ impl Spec for QueueSpec {
 
     fn accepts_observation(&self, method: &MethodId, _args: &[Value], ret: &Value) -> bool {
         method.name() == methods::FRONT
-            && digest_accepts(&element_digest(self.items.front().copied()), ret)
+            && reports_element(self.items.front(), ret)
     }
 
     fn view(&self) -> View {
@@ -305,20 +282,6 @@ impl Spec for QueueSpec {
     fn restore_state(&mut self, state: &Value) -> Result<(), SpecError> {
         self.items = value_ints(state)?.into();
         Ok(())
-    }
-
-    fn observation_digest(&self) -> Option<Value> {
-        Some(element_digest(self.items.front().copied()))
-    }
-
-    fn accepts_observation_digest(
-        &self,
-        method: &MethodId,
-        _args: &[Value],
-        ret: &Value,
-        digest: &Value,
-    ) -> bool {
-        method.name() == methods::FRONT && digest_accepts(digest, ret)
     }
 }
 
@@ -368,28 +331,6 @@ mod tests {
         assert!(q.apply(&m("Dequeue"), &[], &Value::from(2i64)).is_ok());
         assert!(q.apply(&m("Dequeue"), &[], &Value::failure()).is_ok());
         assert!(q.accepts_observation(&m("Front"), &[], &Value::failure()));
-    }
-
-    #[test]
-    fn digests_agree_with_full_observations() {
-        let mut s = StackSpec::new();
-        let mut q = QueueSpec::new();
-        s.apply(&m("Push"), &[7i64.into()], &Value::success()).unwrap();
-        q.apply(&m("Enqueue"), &[7i64.into()], &Value::success()).unwrap();
-        for ret in [Value::from(7i64), Value::from(8i64), Value::failure()] {
-            let d = s.observation_digest().unwrap();
-            assert_eq!(
-                s.accepts_observation(&m("Peek"), &[], &ret),
-                s.accepts_observation_digest(&m("Peek"), &[], &ret, &d),
-                "stack digest disagrees on {ret}"
-            );
-            let d = q.observation_digest().unwrap();
-            assert_eq!(
-                q.accepts_observation(&m("Front"), &[], &ret),
-                q.accepts_observation_digest(&m("Front"), &[], &ret, &d),
-                "queue digest disagrees on {ret}"
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The lock-free family under linearizability checking: a Treiber stack
 //! and a Michael–Scott queue whose commit points are successful CASes,
-//! checked in `CheckKind::Lin` mode (per-window witness search over the
-//! retained observation digests) alongside plain I/O refinement.
+//! checked in `CheckKind::Lin` mode (I/O refinement's per-window witness
+//! search, accounted) alongside plain I/O refinement.
 //!
 //! Three things are demonstrated, and the process exits non-zero if any
 //! of them fails to hold:
@@ -56,10 +56,8 @@ fn main() {
             lin.stats.lin_windows_searched > 0,
         );
         println!(
-            "       windows={} fastpath={} backtracks={}",
-            lin.stats.lin_windows_searched,
-            lin.stats.lin_fastpath_hits,
-            lin.stats.lin_witness_backtracks
+            "       windows={} backtracks={}",
+            lin.stats.lin_windows_searched, lin.stats.lin_witness_backtracks
         );
 
         // 2. Buggy variant: the choreographed prologue makes the

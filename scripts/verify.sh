@@ -33,10 +33,14 @@ echo "==> benchmark package tests (release)"
 CARGO_TARGET_DIR=target cargo test --release --offline -q \
     --manifest-path benchmark/Cargo.toml >/dev/null
 for workload in $(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json); do
-    echo "==> benchmark full-size workload ($workload, 1 s)"
-    CARGO_TARGET_DIR=target cargo run --release --offline --quiet \
-        --manifest-path benchmark/Cargo.toml --bin vyrd-benchmark -- \
-        --workload "$workload" --seconds 1 --trace 0 >/dev/null
+    # Traced too: the conservation identities and the layer replays run
+    # only under --trace 1.
+    for trace in 0 1; do
+        echo "==> benchmark full-size workload ($workload, 1 s, --trace $trace)"
+        CARGO_TARGET_DIR=target cargo run --release --offline --quiet \
+            --manifest-path benchmark/Cargo.toml --bin vyrd-benchmark -- \
+            --workload "$workload" --seconds 1 --trace "$trace" >/dev/null
+    done
 done
 
 echo "==> cargo test -q --offline"

@@ -134,7 +134,6 @@ fn assert_shards_agree(
         assert_eq!(a.observers_checked, b.observers_checked, "{what}: observers");
         assert_eq!(a.lin_windows_searched, b.lin_windows_searched, "{what}: lin windows");
         assert_eq!(a.lin_witness_backtracks, b.lin_witness_backtracks, "{what}: backtracks");
-        assert_eq!(a.lin_fastpath_hits, b.lin_fastpath_hits, "{what}: fastpath hits");
     }
 }
 
