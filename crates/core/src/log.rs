@@ -29,7 +29,12 @@
 //! [`EventLog::drain`], [`EventLog::stats`], [`EventLog::flush`], and
 //! [`EventLog::close`] all flush every live thread buffer through the
 //! merger first, so they observe a totally ordered prefix containing every
-//! event appended before the call.
+//! event appended before the call. A buffer's lifetime is not its
+//! batch's: a dropped [`ThreadLogger`] leaves its partial batch on the
+//! log's idle list, the next logger the log hands out adopts it, and its
+//! events reach the sink when that batch fills or at the next flush point
+//! — so a program that takes a handle per call still hands the sink full
+//! batches. Dropping the last handle to the log delivers whatever is left.
 //!
 //! Multi-object programs scope a log handle to one data-structure instance
 //! with [`EventLog::with_object`]; every event appended through that handle
@@ -38,6 +43,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -455,6 +461,11 @@ impl Merger {
 }
 
 /// One thread's locally buffered events plus their pre-aggregated stats.
+///
+/// The stats travel with the events, into the merger or onto the idle
+/// list and into the buffer that adopts them, so `LogStats` count a batch
+/// exactly once, when the merger accepts it, however many buffers it
+/// passed through.
 #[derive(Default)]
 struct PendingBatch {
     batch: Vec<Stamped>,
@@ -463,18 +474,19 @@ struct PendingBatch {
 
 /// One thread's append buffer. Registered weakly with the owning log so
 /// flush points can drain it; holds the log's `Inner` strongly so the
-/// flush-on-drop below always has a merger to submit to.
+/// drop below always has an idle list to leave its batch on.
 struct ThreadBuffer {
     inner: Arc<Inner>,
     pending: Mutex<PendingBatch>,
 }
 
 impl Drop for ThreadBuffer {
+    /// Leaves the batch — events, stats and capacity — on the idle list
+    /// for the next registered buffer to adopt, rather than submitting it
+    /// (the delivery contract this gives is on [`ThreadLogger`]).
     fn drop(&mut self) {
-        let pending = self.pending.get_mut();
-        let mut batch = std::mem::take(&mut pending.batch);
-        let stats = std::mem::take(&mut pending.stats);
-        self.inner.submit(&mut batch, stats, false);
+        let pending = std::mem::take(self.pending.get_mut());
+        self.inner.idle.lock().push_back(pending);
     }
 }
 
@@ -496,6 +508,10 @@ struct Inner {
     /// Live thread buffers; pruned of dead entries at each flush and,
     /// amortised, at registration.
     buffers: Mutex<Vec<Weak<ThreadBuffer>>>,
+    /// Batches of dropped buffers, oldest first, waiting to be adopted by
+    /// the next registered buffer or drained by a flush point. Taken only
+    /// with `buffers` held or on its own (lock order buffers → idle).
+    idle: Mutex<VecDeque<PendingBatch>>,
     /// Present iff the sink is a [`MemorySink`]; shares its buffer.
     memory: Option<Arc<Mutex<Vec<Event>>>>,
     stats: CachePadded<AtomicStats>,
@@ -612,7 +628,17 @@ impl Inner {
         run.clear();
     }
 
-    /// Adds a thread buffer to the registry `flush_buffers` walks.
+    /// A new thread buffer, added to the registry `flush_buffers` walks,
+    /// that carries on the oldest idle batch if there is one.
+    ///
+    /// Adoption keeps the batch seq-ascending: the new buffer draws every
+    /// later stamp from the global counter under its own lock, and each
+    /// such stamp exceeds every stamp already in the batch. Oldest first,
+    /// because the oldest batch holds the lowest seqs — one left behind
+    /// while fewer loggers come and go would hold every later event in the
+    /// merger until a [`PRESSURE`] relief. The pop happens under the
+    /// registry lock that `flush_buffers` takes the idle list under, so an
+    /// idle batch is always either on that list or in a registered buffer.
     ///
     /// Flushes prune dead entries, but a program can take a handle per
     /// call and never flush (`run_multi` under `vyrd soak`): each dead
@@ -622,26 +648,39 @@ impl Inner {
     /// amortised O(1) however many loggers are live. Below
     /// [`REGISTRY_PRUNE_MIN`] entries nothing changes, so few-logger
     /// programs allocate exactly as they did.
-    fn register(&self, buffer: &Arc<ThreadBuffer>) {
+    fn register(self: &Arc<Self>) -> Arc<ThreadBuffer> {
         let mut registry = self.buffers.lock();
         if registry.len() == registry.capacity() && registry.len() >= REGISTRY_PRUNE_MIN {
             registry.retain(|w| w.strong_count() > 0);
             let live = registry.len();
             registry.reserve(live);
         }
-        registry.push(Arc::downgrade(buffer));
+        let mut pending = self.idle.lock().pop_front().unwrap_or_default();
+        pending
+            .batch
+            .reserve(BATCH.saturating_sub(pending.batch.len()));
+        let buffer = Arc::new(ThreadBuffer {
+            inner: Arc::clone(self),
+            pending: Mutex::new(pending),
+        });
+        registry.push(Arc::downgrade(&buffer));
+        buffer
     }
 
-    /// Drains every live thread buffer through the merger. After this
-    /// returns, every event appended before the call has reached the sink
-    /// (stamps are issued under the buffer locks this walks, so no stamped
+    /// Drains every live thread buffer, then every idle batch, through
+    /// the merger. After this returns, every event appended before the
+    /// call has reached the sink (stamps are issued under the buffer locks
+    /// this walks, and a dropped buffer's batch is on the idle list taken
+    /// here or in a buffer registered before it was taken, so no stamped
     /// event can be in flight anywhere else — at worst on the backlog,
-    /// which the blocking drain below clears).
+    /// which the blocking drain below clears). The emptied idle batches go
+    /// back on the list so their capacity is adopted again.
     fn flush_buffers(&self) {
-        let buffers: Vec<Arc<ThreadBuffer>> = {
+        let (buffers, mut idle): (Vec<Arc<ThreadBuffer>>, _) = {
             let mut registry = self.buffers.lock();
             registry.retain(|w| w.strong_count() > 0);
-            registry.iter().filter_map(Weak::upgrade).collect()
+            let live = registry.iter().filter_map(Weak::upgrade).collect();
+            (live, std::mem::take(&mut *self.idle.lock()))
         };
         let mut batch = Vec::new();
         for buffer in buffers {
@@ -653,6 +692,14 @@ impl Inner {
             }
             self.submit(&mut batch, stats, false);
         }
+        for pending in &mut idle {
+            self.submit(
+                &mut pending.batch,
+                std::mem::take(&mut pending.stats),
+                false,
+            );
+        }
+        self.idle.lock().extend(idle);
         // Flush points must guarantee delivery, so this drain *does*
         // block on the merger: anything a racing producer parked is
         // merged before we return.
@@ -660,6 +707,17 @@ impl Inner {
         self.drain_backlog(&mut m);
         m.release_ready();
         self.deliver(&mut m);
+    }
+}
+
+impl Drop for Inner {
+    /// The last handle to the log is gone, and with it every thread
+    /// buffer; deliver what dropped loggers left idle, so a log dropped
+    /// without [`EventLog::close`] still hands its sink every event before
+    /// the sink itself drops (a channel receiver then sees them all, then
+    /// the disconnect).
+    fn drop(&mut self) {
+        self.flush_buffers();
     }
 }
 
@@ -723,6 +781,7 @@ impl EventLog {
                 }),
                 backlog: Mutex::new(Vec::new()),
                 buffers: Mutex::new(Vec::new()),
+                idle: Mutex::new(VecDeque::new()),
                 memory,
                 stats: CachePadded::new(AtomicStats::default()),
                 next_tid: AtomicU64::new(0),
@@ -853,6 +912,11 @@ impl EventLog {
 
     /// Returns a logger handle for the calling thread, with a fresh thread
     /// id.
+    ///
+    /// Hoist one per thread where the program allows it, or take one per
+    /// call: the handle's buffer carries on the batch the last dropped
+    /// handle left (see [`ThreadLogger`]), so either way the sink receives
+    /// full batches.
     pub fn logger(&self) -> ThreadLogger {
         let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed) as u32;
         self.logger_for(ThreadId(tid))
@@ -861,17 +925,9 @@ impl EventLog {
     /// Returns a logger handle with an explicit thread id (useful when the
     /// harness wants stable ids across runs).
     pub fn logger_for(&self, tid: ThreadId) -> ThreadLogger {
-        let buf = Arc::new(ThreadBuffer {
-            inner: Arc::clone(&self.inner),
-            pending: Mutex::new(PendingBatch {
-                batch: Vec::with_capacity(BATCH),
-                stats: BatchStats::default(),
-            }),
-        });
-        self.inner.register(&buf);
         ThreadLogger {
             log: self.clone(),
-            buf,
+            buf: self.inner.register(),
             tid,
             object: self.object,
         }
@@ -997,6 +1053,13 @@ impl EventLog {
 /// event kind (e.g. [`ThreadLogger::write`] in [`LogMode::Io`]). Events are
 /// stamped with a global sequence number at the call and buffered locally;
 /// see the module docs for when buffers drain.
+///
+/// Dropping the last clone of a handle does not flush it: its events reach
+/// the sink when the batch they are in fills — in the next handle the log
+/// hands out, which adopts it — or at the next flush point
+/// ([`EventLog::flush`], [`EventLog::close`], …), or when the last handle
+/// to the log drops. A program that needs a dropped handle's events
+/// delivered *now* calls [`EventLog::flush`].
 #[derive(Clone)]
 pub struct ThreadLogger {
     log: EventLog,
@@ -1492,13 +1555,111 @@ mod tests {
         assert_eq!(events[2].tid(), ThreadId(7));
     }
 
+    /// Events the in-memory sink holds, read without a flush point.
+    fn delivered(log: &EventLog) -> usize {
+        log.inner.memory.as_ref().unwrap().lock().len()
+    }
+
+    /// One call (call, commit, return) through a logger of its own.
+    fn call_through_fresh_logger(log: &EventLog, i: i64) {
+        let logger = log.logger();
+        logger.call("m", &[Value::from(i)]);
+        logger.commit();
+        logger.ret("m", Value::Unit);
+    }
+
+    /// A handle per call hands the sink full batches: until a flush point
+    /// only 64-event runs arrive, and the flush delivers the rest, all of
+    /// it in the order it was logged.
     #[test]
-    fn dropped_logger_flushes_its_buffer() {
-        let log = EventLog::in_memory(LogMode::Io);
-        let a = log.logger();
-        a.commit();
-        drop(a);
-        // No explicit flush: the buffer drained itself on drop.
-        assert_eq!(log.inner.memory.as_ref().unwrap().lock().len(), 1);
+    fn per_call_loggers_hand_the_sink_full_batches() {
+        const CALLS: usize = 1_000;
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let (sink_runs, sink_events) = (Arc::clone(&runs), Arc::clone(&events));
+        let log = EventLog::dispatching_runs(LogMode::Io, move |run: &mut Vec<Event>| {
+            sink_runs.lock().push(run.len());
+            sink_events.lock().extend(run.drain(..));
+        });
+        for i in 0..CALLS {
+            call_through_fresh_logger(&log, i as i64);
+        }
+        let before = runs.lock().clone();
+        assert!(
+            before.len() <= (3 * CALLS).div_ceil(BATCH),
+            "{} runs",
+            before.len()
+        );
+        assert!(
+            before.iter().all(|&n| n == BATCH),
+            "partial run before a flush point: {before:?}"
+        );
+        log.flush();
+        let events = events.lock();
+        assert_eq!(events.len(), 3 * CALLS);
+        for (i, call) in events.chunks(3).enumerate() {
+            match &call[0] {
+                Event::Call { args, .. } => assert_eq!(args[0], Value::from(i as i64)),
+                other => panic!("call {i} starts with {other}"),
+            }
+            assert!(matches!(call[1], Event::Commit { .. }));
+            assert!(matches!(call[2], Event::Return { .. }));
+            assert!(call.iter().all(|e| e.tid() == call[0].tid()));
+        }
+    }
+
+    /// Every flush point delivers what a dropped logger left behind; the
+    /// drop itself delivers nothing.
+    #[test]
+    fn dropped_logger_reaches_the_sink_at_each_flush_point() {
+        type FlushPoint = fn(&EventLog) -> usize;
+        let flush_points: [(&str, FlushPoint); 5] = [
+            ("snapshot", |log| log.snapshot().len()),
+            ("drain", |log| log.drain().len()),
+            ("stats", |log| {
+                assert_eq!(log.stats().events, 3);
+                delivered(log)
+            }),
+            ("flush", |log| {
+                log.flush();
+                delivered(log)
+            }),
+            ("close", |log| {
+                log.close();
+                delivered(log)
+            }),
+        ];
+        for (name, flush_point) in flush_points {
+            let log = EventLog::in_memory(LogMode::Io);
+            call_through_fresh_logger(&log, 0);
+            assert_eq!(delivered(&log), 0, "{name}: the drop delivered");
+            assert_eq!(flush_point(&log), 3, "{name}");
+        }
+    }
+
+    /// With no flush point at all, a dropped logger's events reach a
+    /// channel receiver when the last handle to the log drops — before
+    /// the disconnect.
+    #[test]
+    fn dropping_the_log_delivers_idle_batches_then_disconnects() {
+        let (log, rx) = EventLog::to_channel(LogMode::Io);
+        call_through_fresh_logger(&log, 0);
+        assert!(rx.try_recv().is_err(), "the logger's drop delivered");
+        drop(log);
+        let received: Vec<Event> = rx.iter().collect();
+        assert_eq!(received.len(), 3);
+    }
+
+    /// Per-call loggers alongside held ones leave at most one batch idle:
+    /// each new logger adopts the batch the previous one left.
+    #[test]
+    fn per_call_loggers_leave_one_idle_batch() {
+        let log = EventLog::discarding(LogMode::Io);
+        let _held: Vec<ThreadLogger> = (0..10).map(|_| log.logger()).collect();
+        for i in 0..100_000 {
+            call_through_fresh_logger(&log, i);
+        }
+        let idle = log.inner.idle.lock().len();
+        assert!(idle <= 1, "{idle} idle batches");
     }
 }

@@ -319,24 +319,34 @@ mod tests {
     /// that keeps logging after `finish()` closed the log used to have its
     /// events vanish without a trace. They are still discarded — the
     /// verifier is already winding down — but the report now counts them.
+    ///
+    /// A straggler that is dropped before `finish()` leaves its events on
+    /// the log's idle list rather than submitting them; they are counted
+    /// all the same.
     #[test]
     fn finish_counts_events_discarded_after_close() {
-        let verifier = OnlineVerifier::spawn(LogMode::Io, Checker::io(SetSpec::default()));
-        let logger = verifier.log().logger();
-        logger.call("Add", &[Value::from(1i64)]);
-        logger.commit();
-        logger.ret("Add", Value::Unit);
-        // Simulate the straggler deterministically: close the log (exactly
-        // what finish() does first), append, then collect the verdict.
-        verifier.log().close();
-        logger.call("Add", &[Value::from(2i64)]);
-        logger.commit();
-        logger.ret("Add", Value::Unit);
-        let report = verifier.finish();
-        assert!(report.passed(), "{report}");
-        assert_eq!(report.stats.commits_applied, 1);
-        assert_eq!(report.stats.events_discarded_after_close, 3);
-        assert!(report.to_string().contains("3 events discarded after close"));
+        for straggler_dropped in [false, true] {
+            let verifier = OnlineVerifier::spawn(LogMode::Io, Checker::io(SetSpec::default()));
+            let logger = verifier.log().logger();
+            logger.call("Add", &[Value::from(1i64)]);
+            logger.commit();
+            logger.ret("Add", Value::Unit);
+            // Simulate the straggler deterministically: close the log
+            // (exactly what finish() does first), append, then collect the
+            // verdict.
+            verifier.log().close();
+            logger.call("Add", &[Value::from(2i64)]);
+            logger.commit();
+            logger.ret("Add", Value::Unit);
+            if straggler_dropped {
+                drop(logger);
+            }
+            let report = verifier.finish();
+            assert!(report.passed(), "{report}");
+            assert_eq!(report.stats.commits_applied, 1);
+            assert_eq!(report.stats.events_discarded_after_close, 3);
+            assert!(report.to_string().contains("3 events discarded after close"));
+        }
     }
 
     /// A checker panic (here: indexing a missing argument in the spec)

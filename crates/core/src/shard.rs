@@ -645,6 +645,7 @@ mod tests {
     use crate::value::Value;
     use std::thread;
 
+    /// Logs `calls` calls on `object` and flushes them to the router.
     fn drive(log: &EventLog, object: ObjectId, calls: u32) {
         let logger = log.with_object(object).logger();
         for i in 0..calls {
@@ -652,6 +653,7 @@ mod tests {
             logger.commit();
             logger.ret("Add", Value::Unit);
         }
+        log.flush();
     }
 
     #[test]

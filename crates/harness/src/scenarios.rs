@@ -162,12 +162,14 @@ fn drive_calls<T, H, K>(
 /// run: the events left in such a handle's buffer hold the log's lowest
 /// sequence numbers, so the merger parks the workload's first batches
 /// until its pressure flush, and that first large delivery sizes an
-/// in-memory sink's buffer. Closing them early changes no event, but the
+/// in-memory sink's buffer. Dropping them early changes no event, but the
 /// sink then grows through other capacities and a recording's speed comes
 /// to depend on where the allocator places them (measured: it alternated
 /// between two speeds from one recording to the next).
-/// [`Scenario::run_multi`] (`per_call`) closes them at once: a live
-/// verifier must not wait on a seeding buffer.
+/// [`Scenario::run_multi`] (`per_call`) drops them at once: their batches
+/// wait on the log's idle list, the first per-call handles adopt them
+/// (oldest first), and they reach a live verifier as soon as they fill,
+/// like any other batch — not at a pressure flush.
 fn seeded<T, H>(instances: &[T], per_call: bool, handle: fn(&T) -> H, seed: fn(&H)) -> Option<Vec<H>> {
     let handles: Vec<H> = instances.iter().map(handle).inspect(seed).collect();
     (!per_call).then_some(handles)

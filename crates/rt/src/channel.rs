@@ -286,14 +286,17 @@ impl<T> Shared<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The published queue length (see `occupancy`).
+    /// The published queue length (see `occupancy`), clamped to what the
+    /// queue can hold: a transiently negative sum reads 0, and on a
+    /// bounded channel a sum above the capacity is a lead by construction
+    /// and reads the capacity.
     fn len(&self) -> usize {
         let sum = self.occupancy.load(Ordering::Relaxed);
         // The upper half of the range is a transiently negative sum.
         if sum > usize::MAX / 2 {
             0
         } else {
-            sum
+            self.capacity.map_or(sum, |cap| sum.min(cap))
         }
     }
 
@@ -715,7 +718,8 @@ impl<T> Receiver<T> {
 
     /// Number of messages currently buffered, read without the queue
     /// lock: exact while the channel is at rest, and off by at most the
-    /// batches in flight while a send or receive is completing.
+    /// batches in flight while a send or receive is completing — but
+    /// never above a bounded channel's capacity.
     pub fn len(&self) -> usize {
         self.shared.len()
     }
@@ -1363,6 +1367,26 @@ mod tests {
         assert_eq!(rx.recv(), Err(RecvError));
         assert_eq!(rx.popped(), u64::from(MESSAGES));
         assert_eq!(rx.len(), 0, "the occupancy word is exact at rest");
+    }
+
+    /// The occupancy word may lead a full queue by the batches in flight;
+    /// the published length must not (an overload controller compares it
+    /// against the capacity).
+    #[test]
+    fn len_never_reads_above_capacity() {
+        let (tx, rx) = bounded(4);
+        for i in 0..4 {
+            tx.send(i).unwrap();
+        }
+        let monitor = rx.monitor();
+        rx.shared.occupancy.store(4 + 2, Ordering::Relaxed);
+        assert_eq!(rx.len(), 4);
+        assert_eq!(monitor.len(), 4);
+        // A pop's delta landing before its push's: a negative sum.
+        rx.shared.occupancy.store(0usize.wrapping_sub(1), Ordering::Relaxed);
+        assert_eq!(rx.len(), 0);
+        assert_eq!(monitor.len(), 0);
+        assert!(monitor.is_empty());
     }
 
     #[test]

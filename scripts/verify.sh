@@ -58,13 +58,18 @@ cargo test --release --offline -q -p vyrd-blinktree -p vyrd-multiset --lib repla
 # before it parks, unless the process has one core. The suite above ran
 # the channel tests with every core; run them again, optimised and pinned
 # to one CPU, so the park path — not only the spin path — is exercised on
-# its own.
-echo "==> channel wait protocol, release, one CPU"
+# its own. The log's tests ride along: a dropped logger's batch waits on
+# the idle list for another thread's logger or flush point, and no flush
+# point may wait on a batch no live thread owns — which matters most
+# where program and verifier cannot run at once.
+echo "==> channel wait protocol and log hand-off, release, one CPU"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test --release --offline -q -p vyrd-rt channel >/dev/null
+    taskset -c 0 cargo test --release --offline -q -p vyrd-core --lib log:: >/dev/null
 else
     echo "    -> taskset not available; ran unpinned only"
     cargo test --release --offline -q -p vyrd-rt channel >/dev/null
+    cargo test --release --offline -q -p vyrd-core --lib log:: >/dev/null
 fi
 
 # Smoke-run every example: each is a runnable walkthrough that must

@@ -59,28 +59,35 @@ fn base_seed() -> u64 {
 /// a reference single-lock `Vec<Event>` simultaneously: each op builds
 /// the event it is about to log, then appends it to both destinations
 /// inside one shared critical section — the same atomicity discipline
-/// instrumentation sites use, applied to both logs at once. Returns
-/// `(reference order, batched snapshot, batched stats)`.
+/// instrumentation sites use, applied to both logs at once. With
+/// `per_op`, each op logs through a fresh logger dropped after it (the
+/// `Scenario::run_multi` shape) instead of through one logger per thread.
+/// Returns `(reference order, batched snapshot, batched stats)`.
 fn dual_logged_run(
     seed: u64,
     threads: u32,
     ops_per_thread: u32,
     mode: LogMode,
+    per_op: bool,
 ) -> (Vec<Event>, Vec<Event>, vyrd::core::log::LogStats) {
     let log = EventLog::in_memory(mode);
     let reference = std::sync::Arc::new(Mutex::new(Vec::new()));
     // The per-op critical section making "log to both" one atomic action.
     let site = std::sync::Arc::new(Mutex::new(()));
     thread::scope(|scope| {
+        let log = &log;
         for t in 0..threads {
-            let logger = log.logger_for(ThreadId(t));
+            let hoisted = (!per_op).then(|| log.logger_for(ThreadId(t)));
             let reference = std::sync::Arc::clone(&reference);
             let site = std::sync::Arc::clone(&site);
             let mut rng = Rng::seed_from_u64(seed ^ (u64::from(t) << 32));
             scope.spawn(move || {
                 for i in 0..ops_per_thread {
                     let object = ObjectId(rng.gen_range(0..2));
-                    let scoped = logger.for_object(object);
+                    let scoped = match &hoisted {
+                        Some(logger) => logger.for_object(object),
+                        None => log.logger_for(ThreadId(t)).for_object(object),
+                    };
                     let k = Value::from(rng.gen_range(0..64i64));
                     // Mirror exactly what the logger methods construct.
                     let (event, action): (Event, Box<dyn Fn() + '_>) =
@@ -169,17 +176,16 @@ fn batched_path_reproduces_the_reference_total_order() {
     for mode in [LogMode::Io, LogMode::View] {
         for _ in 0..4 {
             let seed = seeds.next_u64();
-            let (reference, batched, stats) = dual_logged_run(seed, 4, 200, mode);
-            assert_eq!(
-                reference.len(),
-                batched.len(),
-                "seed {seed} {mode:?}: event counts diverge"
-            );
-            for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
-                assert_eq!(r, b, "seed {seed} {mode:?}: order diverges at {i}: {r} vs {b}");
+            for per_op in [false, true] {
+                let (reference, batched, stats) = dual_logged_run(seed, 4, 200, mode, per_op);
+                let run = format!("seed {seed} {mode:?} per_op {per_op}");
+                assert_eq!(reference.len(), batched.len(), "{run}: event counts diverge");
+                for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
+                    assert_eq!(r, b, "{run}: order diverges at {i}: {r} vs {b}");
+                }
+                assert_eq!(stats.events, batched.len() as u64);
+                assert_eq!(stats.events_dropped_injected, 0);
             }
-            assert_eq!(stats.events, batched.len() as u64);
-            assert_eq!(stats.events_dropped_injected, 0);
         }
     }
 }
@@ -187,7 +193,7 @@ fn batched_path_reproduces_the_reference_total_order() {
 #[test]
 fn batched_path_records_nothing_in_off_mode() {
     let _serial = serial();
-    let (reference, batched, stats) = dual_logged_run(base_seed(), 4, 50, LogMode::Off);
+    let (reference, batched, stats) = dual_logged_run(base_seed(), 4, 50, LogMode::Off, false);
     assert!(reference.is_empty());
     assert!(batched.is_empty());
     assert_eq!(stats, vyrd::core::log::LogStats::default());
@@ -204,26 +210,29 @@ fn is_subsequence(needle: &[Event], haystack: &[Event]) -> bool {
 fn injected_append_drops_reconcile_against_the_reference() {
     let _serial = serial();
     let seed = base_seed();
-    let _scope = fault::install(FaultPlan::seeded(seed).rule(
-        "log.append",
-        FaultRule::always(FaultAction::Drop).with_probability(0.25),
-    ));
-    let (reference, batched, stats) = dual_logged_run(seed, 4, 150, LogMode::View);
-    drop(_scope);
-    // The failpoint fires before an event is stamped, so surviving events
-    // keep their relative order: the batched log is a gapless-by-seq
-    // subsequence of the reference, and every missing event is accounted.
-    assert!(batched.len() < reference.len(), "plan injected no drops");
-    assert!(
-        is_subsequence(&batched, &reference),
-        "seed {seed}: batched log is not a subsequence of the reference"
-    );
-    assert_eq!(
-        stats.events_dropped_injected,
-        (reference.len() - batched.len()) as u64,
-        "seed {seed}: injected-drop accounting disagrees with the reference"
-    );
-    assert_eq!(stats.events, batched.len() as u64);
+    for per_op in [false, true] {
+        let scope = fault::install(FaultPlan::seeded(seed).rule(
+            "log.append",
+            FaultRule::always(FaultAction::Drop).with_probability(0.25),
+        ));
+        let (reference, batched, stats) = dual_logged_run(seed, 4, 150, LogMode::View, per_op);
+        drop(scope);
+        // The failpoint fires before an event is stamped, so surviving
+        // events keep their relative order: the batched log is a
+        // gapless-by-seq subsequence of the reference, and every missing
+        // event is accounted.
+        assert!(batched.len() < reference.len(), "plan injected no drops");
+        assert!(
+            is_subsequence(&batched, &reference),
+            "seed {seed} per_op {per_op}: batched log is not a subsequence of the reference"
+        );
+        assert_eq!(
+            stats.events_dropped_injected,
+            (reference.len() - batched.len()) as u64,
+            "seed {seed} per_op {per_op}: injected-drop accounting disagrees with the reference"
+        );
+        assert_eq!(stats.events, batched.len() as u64);
+    }
 }
 
 fn cfg(seed: u64) -> WorkloadConfig {

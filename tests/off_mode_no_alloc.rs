@@ -188,6 +188,43 @@ fn metrics_enabled_io_steady_state_allocates_nothing() {
     );
 }
 
+/// A logger taken per call costs its `ThreadBuffer` handle and nothing
+/// else: it adopts the batch the previous call's logger left behind
+/// instead of allocating one of its own.
+#[test]
+fn per_call_logger_allocates_only_its_handle() {
+    let _g = guard();
+    IN_TEST_THREAD.with(|c| c.set(true));
+    let log = EventLog::discarding(LogMode::Io);
+    let args = [Value::from(1i64), Value::from(2i64)];
+    let ret = Value::from(42i64);
+    let call = || {
+        let logger = log.logger_for(ThreadId(7));
+        logger.call("Insert", &args);
+        logger.ret_ref("Insert", &ret);
+        logger.commit();
+    };
+
+    for _ in 0..2_000 {
+        call();
+    }
+
+    const CALLS: u64 = 10_000;
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..CALLS {
+        call();
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    ARMED.store(false, Ordering::SeqCst);
+
+    let per_call = (after - before) as f64 / CALLS as f64;
+    assert!(
+        per_call <= 1.05,
+        "a per-call logger hit the allocator {per_call:.3} times per call"
+    );
+}
+
 /// The registry's log counters are not estimates: they must agree with
 /// [`EventLog::stats`] to the event — appends, post-close discards, and
 /// fault-injected drops alike.
