@@ -64,11 +64,12 @@ pub mod state;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Read;
 use std::sync::Arc;
 
 use vyrd_rt::channel::Receiver;
+use vyrd_rt::intern::FnvMap;
 
 use crate::codec;
 use crate::event::{ArgList, Event, MethodId, ObjectId, ThreadId, VarId};
@@ -366,6 +367,12 @@ impl<S: Spec, R: Replayer> SteppingChecker for Checker<S, R> {
 /// calls it on demand and again after recovery.
 pub type SteppingFactory = Arc<dyn Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync>;
 
+/// How many emptied per-thread return queues a [`Checker`] keeps for
+/// reuse. A queue is emptied each time a thread's last buffered return is
+/// stepped; only threads with a return buffered *at once* need one, which
+/// is a handful even when every call has its own thread id.
+const SPARE_RETURN_QUEUES: usize = 16;
+
 /// A method execution in progress (between its call and return actions).
 struct PendingExec {
     method: MethodId,
@@ -445,13 +452,17 @@ pub struct Checker<S: Spec, R: Replayer = NoopReplayer> {
     /// fed (or the log ends). A thread with nothing buffered has no
     /// entry: thread ids are minted per call by some drivers, so kept
     /// empties would grow with the log.
-    returns_buffered: HashMap<ThreadId, VecDeque<(MethodId, Value)>>,
+    returns_buffered: FnvMap<ThreadId, VecDeque<(MethodId, Value)>>,
+    /// Emptied `returns_buffered` deques, kept (at most
+    /// [`SPARE_RETURN_QUEUES`]) for the next thread that buffers a
+    /// return, so a `Return` costs no allocation.
+    spare_returns: Vec<VecDeque<(MethodId, Value)>>,
     /// The thread whose return the pump is parked on, so events fed
     /// meanwhile cost no stall re-evaluation; cleared when that thread's
     /// `Return` is pushed.
     parked_on: Option<ThreadId>,
     /// Per-thread in-flight execution.
-    pending: HashMap<ThreadId, PendingExec>,
+    pending: FnvMap<ThreadId, PendingExec>,
     /// Number of commits applied to the specification so far.
     commits_applied: u64,
     /// Linearizability checking mode ([`Checker::lin`]): the window
@@ -515,9 +526,10 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             violation: None,
             witness: Vec::new(),
             input: VecDeque::new(),
-            returns_buffered: HashMap::new(),
+            returns_buffered: FnvMap::default(),
+            spare_returns: Vec::new(),
             parked_on: None,
-            pending: HashMap::new(),
+            pending: FnvMap::default(),
             commits_applied: 0,
             lin: false,
             searching: 0,
@@ -672,9 +684,10 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
             tid, method, ret, ..
         } = &event
         {
+            let spare = &mut self.spare_returns;
             self.returns_buffered
                 .entry(*tid)
-                .or_default()
+                .or_insert_with(|| spare.pop().unwrap_or_default())
                 .push_back((*method, ret.clone()));
             if self.parked_on == Some(*tid) {
                 self.parked_on = None;
@@ -707,7 +720,11 @@ impl<S: Spec, R: Replayer> Checker<S, R> {
                 if let Some(returns) = self.returns_buffered.get_mut(tid) {
                     returns.pop_front();
                     if returns.is_empty() {
-                        self.returns_buffered.remove(tid);
+                        if let Some(emptied) = self.returns_buffered.remove(tid) {
+                            if self.spare_returns.len() < SPARE_RETURN_QUEUES {
+                                self.spare_returns.push(emptied);
+                            }
+                        }
                     }
                 }
             }

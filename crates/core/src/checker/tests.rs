@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::checker::{Checker, CheckerOptions, Invariant};
+use crate::checker::{Checker, CheckerOptions, Invariant, SPARE_RETURN_QUEUES};
 use crate::event::{Event, MethodId, ObjectId, ThreadId, VarId};
 use crate::replay::Replayer;
 use crate::spec::{MethodKind, Spec, SpecEffect, SpecError};
@@ -1000,6 +1000,31 @@ fn the_return_table_holds_only_threads_with_a_return_buffered() {
             assert!(checker.returns_buffered.len() <= 1);
         }
         assert!(checker.returns_buffered.is_empty() && checker.pending.is_empty());
+    }
+    let report = checker.into_report();
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.stats.methods_completed, 100_000);
+}
+
+#[test]
+fn emptied_return_queues_are_kept_for_reuse_up_to_a_cap() {
+    // Fresh thread ids per call, overlapping: each round of 32 executions
+    // queues behind an observer call whose return is fed last, so 32
+    // threads have a return buffered at once. When the round drains their
+    // queues are emptied; at most the cap of them is kept.
+    const ROUND: u32 = 32;
+    let mut checker = Checker::io(RegSpec::default());
+    for first in (0..100_000u32).step_by(ROUND as usize) {
+        checker.feed(call(first, "Get", &[0]));
+        for tid in first + 1..first + ROUND {
+            for event in put(tid, 1, i64::from(tid)) {
+                checker.feed(event);
+            }
+        }
+        assert_eq!(checker.returns_buffered.len(), ROUND as usize - 1);
+        checker.feed(ret(first, "Get", Value::from(0)));
+        assert!(checker.returns_buffered.is_empty() && checker.pending.is_empty());
+        assert_eq!(checker.spare_returns.len(), SPARE_RETURN_QUEUES);
     }
     let report = checker.into_report();
     assert!(report.passed(), "{report}");

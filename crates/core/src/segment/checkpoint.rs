@@ -107,13 +107,32 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(found.into_iter().map(|(_, path)| path).collect())
 }
 
-/// Atomically writes `checkpoint` into `dir` and prunes all but the two
-/// newest checkpoint files.
+/// A checkpoint file [`write_checkpoint`] renamed into place.
+#[derive(Clone, Debug)]
+pub struct WrittenCheckpoint {
+    /// The file's path.
+    pub path: PathBuf,
+    /// Whether the directory was synced after the rename. Until it is, a
+    /// crash may lose the rename while later unlinks survive, so nothing
+    /// the checkpoint supersedes — older checkpoints, covered segments —
+    /// may be deleted yet.
+    pub dir_synced: bool,
+}
+
+/// Atomically writes `checkpoint` into `dir` and, once the directory sync
+/// has made the rename durable, prunes all but the two newest checkpoint
+/// files.
+///
+/// Honors the `checkpoint.dir_sync` failpoint: a
+/// [`Drop`](vyrd_rt::fault::FaultAction::Drop) disposition stands for a
+/// failed directory sync.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; on error the previous checkpoints are intact.
-pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> io::Result<PathBuf> {
+/// A failed directory sync is not an error: it is reported in
+/// [`WrittenCheckpoint::dir_synced`].
+pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> io::Result<WrittenCheckpoint> {
     let mut payload = Vec::with_capacity(256);
     codec::write_value(&mut payload, &checkpoint_value(checkpoint))?;
     let tmp = dir.join(CHECKPOINT_TMP);
@@ -128,18 +147,19 @@ pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> io::Result<PathB
     }
     let path = dir.join(checkpoint_file_name(checkpoint.next_seq));
     fs::rename(&tmp, &path)?;
-    // Directory metadata (the rename and any prunes) is best-effort
-    // synced; data durability came from the sync_all above.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    for old in list_checkpoints(dir)?.into_iter().skip(2) {
-        let _ = fs::remove_file(old);
+    let dir_synced = !matches!(
+        vyrd_rt::fault::inject("checkpoint.dir_sync"),
+        vyrd_rt::fault::Disposition::Drop
+    ) && File::open(dir).and_then(|d| d.sync_all()).is_ok();
+    if dir_synced {
+        for old in list_checkpoints(dir)?.into_iter().skip(2) {
+            let _ = fs::remove_file(old);
+        }
     }
     if vyrd_rt::metrics::enabled() {
         pipeline().checkpoint_written.inc();
     }
-    Ok(path)
+    Ok(WrittenCheckpoint { path, dir_synced })
 }
 
 /// Reads and validates one checkpoint file.
@@ -380,7 +400,7 @@ mod tests {
     #[test]
     fn round_trips_through_the_file_format() {
         let dir = temp_dir("checkpoint-roundtrip");
-        let path = write_checkpoint(&dir, &sample()).unwrap();
+        let path = write_checkpoint(&dir, &sample()).unwrap().path;
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
             "checkpoint-0000000000001234.vyc"
@@ -415,7 +435,7 @@ mod tests {
         cp.next_seq = 10;
         write_checkpoint(&dir, &cp).unwrap();
         cp.next_seq = 20;
-        let newest = write_checkpoint(&dir, &cp).unwrap();
+        let newest = write_checkpoint(&dir, &cp).unwrap().path;
         // Flip a payload byte: the CRC check must reject the file.
         let mut bytes = fs::read(&newest).unwrap();
         let last = bytes.len() - 1;

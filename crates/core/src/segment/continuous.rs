@@ -257,8 +257,8 @@ impl ContinuousVerifier {
     }
 
     /// Serializes every checker's state plus the degradation ledger into
-    /// a new checkpoint file, then (if configured) deletes the segments
-    /// the checkpoint covers.
+    /// a new checkpoint file, then (if configured, and once the
+    /// checkpoint's rename is durable) deletes the segments it covers.
     ///
     /// # Errors
     ///
@@ -276,7 +276,7 @@ impl ContinuousVerifier {
             })?;
             states.push((*object, state));
         }
-        let path = checkpoint::write_checkpoint(
+        let written = checkpoint::write_checkpoint(
             &self.dir,
             &Checkpoint {
                 next_seq: self.next_seq,
@@ -285,10 +285,13 @@ impl ContinuousVerifier {
             },
         )?;
         self.segments_since_checkpoint = 0;
-        if self.options.delete_checked {
+        // Covered segments go only once the checkpoint's rename is
+        // durable; otherwise they stay, and a resume that finds an older
+        // checkpoint re-verifies them instead of meeting a hole.
+        if self.options.delete_checked && written.dir_synced {
             self.delete_covered()?;
         }
-        Ok(path)
+        Ok(written.path)
     }
 
     /// Deletes sealed segments lying entirely below `next_seq`.

@@ -19,7 +19,8 @@
 //!    checkpointable checkers. Every few segments it serializes the full
 //!    checker state (specification snapshot, in-flight executions,
 //!    [`Degradation`](crate::violation::Degradation) ledger, resume
-//!    position) into a [`checkpoint`] file and then **deletes** the
+//!    position) into a [`checkpoint`] file and then — once a directory
+//!    sync has made the checkpoint's rename durable — **deletes** the
 //!    segments the checkpoint covers.
 //! 3. **Recovery** — after a crash, [`ContinuousVerifier::open`] resumes
 //!    from the newest readable checkpoint; the torn tail of the segment

@@ -7,12 +7,18 @@
 //! process and serializes its tests on a mutex.
 
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use vyrd_core::checker::Checker;
 use vyrd_core::codec;
 use vyrd_core::log::{EventLog, LogMode};
 use vyrd_core::pool::VerifierPool;
+use vyrd_core::segment::{
+    checkpoint, scan_segments, ContinuousOptions, ContinuousVerifier, SegmentConfig,
+    SteppingFactory,
+};
 use vyrd_core::shard::{ShardConfig, ShardRouter};
 use vyrd_core::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use vyrd_core::view::View;
@@ -50,6 +56,21 @@ impl Spec for SetSpec {
 
     fn view(&self) -> View {
         View::new()
+    }
+
+    fn save_state(&self) -> Option<Value> {
+        Some(self.0.iter().map(|&x| Value::from(x)).collect())
+    }
+
+    fn restore_state(&mut self, state: &Value) -> Result<(), SpecError> {
+        let items = state
+            .as_list()
+            .ok_or_else(|| SpecError::new("state must be a list"))?;
+        self.0 = items
+            .iter()
+            .map(|x| x.as_int().ok_or_else(|| SpecError::new("ints")))
+            .collect::<Result<_, _>>()?;
+        Ok(())
     }
 }
 
@@ -248,4 +269,83 @@ fn probabilistic_plans_replay_identically_per_seed_at_the_router() {
     assert_eq!(a, b, "same seed, same sheds");
     assert!(!a.0.is_empty(), "0.25 over 108 events drops something");
     assert_ne!(a.0, c.0, "different seeds diverge");
+}
+
+/// Records Adds and Contains observers into a fresh directory of small
+/// segments; returns it and the event count.
+fn record_segments(tag: &str) -> (PathBuf, u64) {
+    let dir = std::env::temp_dir().join(format!("vyrd-{tag}-{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let (log, handle) =
+        EventLog::to_segments(LogMode::Io, SegmentConfig::new(&dir).segment_bytes(320)).unwrap();
+    let logger = log.logger();
+    for i in 0..60i64 {
+        logger.call("Add", &[Value::from(i % 7)]);
+        logger.commit();
+        logger.ret("Add", Value::Unit);
+        logger.call("Contains", &[Value::from(i % 7)]);
+        logger.ret("Contains", Value::from(true));
+    }
+    log.close();
+    (dir, handle.finish().unwrap().events)
+}
+
+#[test]
+fn segments_stay_until_their_checkpoint_is_durably_named() {
+    let _serial = serial();
+    let factory: SteppingFactory = Arc::new(|_| Box::new(Checker::io(SetSpec::default())));
+    let (reference_dir, total) = record_segments("dir-sync-reference");
+    let reference = ContinuousVerifier::open(&reference_dir, factory.clone(), Default::default())
+        .unwrap()
+        .finalize()
+        .unwrap();
+    assert!(
+        reference.passed() && !reference.is_degraded(),
+        "{reference:?}"
+    );
+    assert_eq!(reference.stats.events, total);
+    fs::remove_dir_all(&reference_dir).ok();
+
+    for renames_lost in [true, false] {
+        let (dir, _) = record_segments(&format!("dir-sync-failed-{renames_lost}"));
+        let segments = scan_segments(&dir).unwrap().len();
+        {
+            let _scope = fault::install(
+                FaultPlan::seeded(38)
+                    .rule("checkpoint.dir_sync", FaultRule::always(FaultAction::Drop)),
+            );
+            let mut verifier =
+                ContinuousVerifier::open(&dir, factory.clone(), ContinuousOptions::default())
+                    .unwrap();
+            let progress = verifier.step().unwrap();
+            assert!(progress.segments_checked > 2, "{progress:?}");
+            assert!(!checkpoint::list_checkpoints(&dir).unwrap().is_empty());
+            assert_eq!(
+                scan_segments(&dir).unwrap().len(),
+                segments,
+                "a segment was deleted under a checkpoint whose rename may not be durable"
+            );
+            // The verifier dies here, before any sync succeeded.
+        }
+        if renames_lost {
+            // The crash kept the unlinks, had there been any, and lost
+            // every unsynced rename.
+            for path in checkpoint::list_checkpoints(&dir).unwrap() {
+                fs::remove_file(path).unwrap();
+            }
+        }
+        let resumed =
+            ContinuousVerifier::open(&dir, factory.clone(), ContinuousOptions::default()).unwrap();
+        assert_eq!(resumed.resume_seq() == 0, renames_lost);
+        let report = resumed.finalize().unwrap();
+        let verdict = |r: &vyrd_core::violation::Report| {
+            (r.violation.clone(), r.stats, r.degradation.clone())
+        };
+        assert_eq!(
+            verdict(&report),
+            verdict(&reference),
+            "renames lost: {renames_lost}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
 }

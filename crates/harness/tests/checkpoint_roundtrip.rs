@@ -73,7 +73,8 @@ fn check_via_checkpoint(
             degradation: Degradation::default(),
         },
     )
-    .expect("write checkpoint");
+    .expect("write checkpoint")
+    .path;
     let restored = checkpoint::read_checkpoint(&path).expect("read checkpoint");
     assert_eq!(restored.next_seq, split as u64);
     std::fs::remove_dir_all(&dir).ok();

@@ -30,8 +30,8 @@ use std::sync::{Mutex, PoisonError};
 
 /// FNV-1a. The default `HashMap` hasher (SipHash) costs more than the
 /// rest of the interner's hot path put together; method names are short,
-/// trusted, program-chosen strings, so HashDoS resistance buys nothing
-/// here and a multiply-per-byte hash is the right trade.
+/// program-chosen strings, so HashDoS resistance buys nothing here and a
+/// multiply-per-byte hash is the right trade.
 #[derive(Debug, Default)]
 pub struct FnvHasher(u64);
 
@@ -52,8 +52,14 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// A `HashMap` hashed with [`FnvHasher`]: for short keys the program
-/// itself chose (interned names, object ids), never for outside input.
+/// A `HashMap` hashed with [`FnvHasher`], for short keys whose values the
+/// program under test chose: interned method names, and the object and
+/// thread ids a log carries (the shard router's object index, the
+/// checker's per-thread tables). Those ids may arrive in a log read from
+/// a file, so a crafted log can pick colliding keys — but what it slows
+/// is only its own check, which it could stall anyway by being long.
+/// Never use it for keys a *remote* party picks in a process it shares
+/// with other work.
 pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// One published table generation: ids are indices into `names`.

@@ -25,21 +25,27 @@ benchmark/run.sh all --smoke >/dev/null
 # more pre-flights, both through the package's own manifest into this
 # workspace's target/: its tests, which pin the metric names and what
 # every workload emits; and every BENCHMARK.json workload at full size
-# for one second through the exact BENCHMARK.json command, each of which
-# must exit 0 (every Correct gate and Buggy canary green, no repetition
-# hung) — PRs have been lost at the run stage on workloads that the
-# smoke and one full-size workload both passed.
+# through the exact BENCHMARK.json command, each of which must exit 0
+# (every Correct gate and Buggy canary green, no repetition hung). The
+# untraced pass runs for BENCHMARK.json's own run_seconds: PRs have been
+# lost at the run stage on workloads that the smoke and a 1 s full-size
+# run both passed. The traced pass runs 1 s; the conservation identities
+# and the layer replays run only under --trace 1.
 echo "==> benchmark package tests (release)"
 CARGO_TARGET_DIR=target cargo test --release --offline -q \
     --manifest-path benchmark/Cargo.toml >/dev/null
+run_seconds="$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)"
+if [[ -z "$run_seconds" ]]; then
+    echo "no run_seconds in BENCHMARK.json" >&2
+    exit 1
+fi
 for workload in $(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json); do
-    # Traced too: the conservation identities and the layer replays run
-    # only under --trace 1.
-    for trace in 0 1; do
-        echo "==> benchmark full-size workload ($workload, 1 s, --trace $trace)"
+    for pass in "0 $run_seconds" "1 1"; do
+        read -r trace seconds <<<"$pass"
+        echo "==> benchmark full-size workload ($workload, $seconds s, --trace $trace)"
         CARGO_TARGET_DIR=target cargo run --release --offline --quiet \
             --manifest-path benchmark/Cargo.toml --bin vyrd-benchmark -- \
-            --workload "$workload" --seconds 1 --trace "$trace" >/dev/null
+            --workload "$workload" --seconds "$seconds" --trace "$trace" >/dev/null
     done
 done
 
