@@ -15,8 +15,9 @@ use std::time::Duration;
 use vyrd_harness::scenario::{CheckKind, Scenario, Variant};
 use vyrd_harness::scenarios;
 
-/// The fault matrix's CI seed: the default of every subcommand that
-/// `scripts/verify.sh` pins, so runs replay the same workload schedule.
+/// The fault matrix's CI seed: the default seed of every subcommand but
+/// `table`, and the seed the gate tests pin, so runs replay the same
+/// workload schedule.
 pub const CI_SEED: u64 = 3_405_691_582;
 
 /// What a flag's value is and which values are allowed.
@@ -98,7 +99,7 @@ mod flags {
     pub const SEED: Flag = Flag {
         name: "--seed",
         ty: ANY,
-        help: "workload RNG seed (stats: $VYRD_FAULT_SEED, when set, is the default)",
+        help: "workload RNG seed",
     };
     pub const THREADS: Flag = Flag {
         name: "--threads",
@@ -219,8 +220,8 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "stats",
         modes: &[],
-        about: "metrics export (results/METRICS_smoke.json) and pinned-seed fault reconciliation \
-                (results/METRICS_fault_matrix.json)",
+        about: "a sharded online run with metrics and trace spans on: print the snapshot, export \
+                it (results/METRICS_smoke.json)",
         flags: &[(&SEED, Int(CI_SEED))],
         run: crate::stats::run,
     },

@@ -1,8 +1,8 @@
 //! `vyrd continuous` — drive the durable segmented log + checkpointed
 //! continuous verification service from the command line.
 //!
-//! Three modes, designed so a harness (or `scripts/verify.sh`) can kill
-//! the process mid-run and prove recovery:
+//! Three modes, designed so a harness can kill the process mid-run and
+//! prove recovery:
 //!
 //! * `produce` — run a scenario's workload into a segment directory
 //!   while a [`ContinuousVerifier`] polls it on the same process
@@ -18,8 +18,7 @@
 //!   with an in-memory log, for verdict comparison.
 //!
 //! All lines are `key=value` tokens so they parse with `split_whitespace`
-//! alone; the kill/resume integration test and the CI smoke step both
-//! rely on that.
+//! alone; the kill/resume integration test relies on that.
 
 use std::io;
 use std::path::PathBuf;

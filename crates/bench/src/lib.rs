@@ -10,7 +10,9 @@
 //!   Each prints the measured values next to the paper's reported
 //!   numbers; the *shape* (orderings, rough factors) is the reproduction
 //!   target, not the absolute 2005-era CPU seconds;
-//! * `vyrd stats` — metrics export and pinned-seed fault reconciliation;
+//! * `vyrd stats` — one sharded online run with metrics and trace spans
+//!   on, printed and exported (the registry's reconciliation against the
+//!   degradation ledger is the `tests/reconcile.rs` suite);
 //! * `vyrd continuous produce|resume|single` — the durable segmented log
 //!   with its checkpointed verifier, built to be killed and resumed;
 //! * `vyrd soak` — open-loop load past saturation with adaptive shedding;
@@ -32,7 +34,6 @@ use vyrd_harness::workload::WorkloadConfig;
 
 pub mod cli;
 mod continuous;
-mod ledger;
 mod soak;
 mod stats;
 mod table;

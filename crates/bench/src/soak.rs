@@ -18,13 +18,13 @@
 //!   offered vs sustained throughput and the p50/p95/p99/p99.9
 //!   call→commit and call→return latencies from the span ring, and
 //!   writes `results/SOAK_<scenario>.json`.
-//! * **Smoke** (`--smoke`): a pinned-seed, seconds-long saturation run
-//!   for CI. A `pool.check` delay failpoint stalls one shard
-//!   deterministically while the pacer keeps offering load, forcing the
-//!   controller through its shed/decrease/recover cycle. Writes
-//!   `results/SOAK_smoke.json` and exits non-zero unless the metrics
-//!   registry, the [`Degradation`] ledger, and the log's own counters
-//!   reconcile exactly — and unless the correct variant stays
+//! * **Smoke** (`--smoke`): a pinned-seed, seconds-long saturation run,
+//!   gated by `tests/smoke_gates.rs`. A `pool.check` delay failpoint
+//!   stalls one shard deterministically while the pacer keeps offering
+//!   load, forcing the controller through its shed/decrease/recover
+//!   cycle. Writes `results/SOAK_smoke.json` and exits non-zero unless
+//!   the metrics registry, the [`Degradation`] ledger, and the log's own
+//!   counters reconcile exactly — and unless the correct variant stays
 //!   non-FAIL while the buggy variant stays non-PASS.
 //!
 //! With `--witness`, a FAIL verdict additionally produces a minimized,
@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use vyrd_core::pool::SupervisorConfig;
-use vyrd_core::violation::Verdict;
+use vyrd_core::violation::{AdaptiveAction, Degradation, Verdict, WatchdogAction};
 use vyrd_core::AdaptiveConfig;
 use vyrd_harness::scenario::{
     reconstruct_witness, run_soak, CheckKind, Scenario, SoakArtifacts, Variant,
@@ -48,12 +48,12 @@ use vyrd_harness::scenario::{
 use vyrd_harness::scenarios;
 use vyrd_harness::workload::{PaceConfig, WorkloadConfig};
 use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
+use vyrd_rt::metrics::{self, Snapshot};
 
 use crate::cli::{
     self, Args, CAPACITY, DURATION, KIND, OBJECTS, RATE, SCENARIO, SEED, SMOKE, THREADS, VARIANT,
     WITNESS, WORKERS,
 };
-use crate::ledger::{all_agree, checks_json, holds, json_lines, metered, overload_checks, Check};
 use crate::{emit_witness, write_result};
 
 pub(crate) fn run(args: &Args) -> ExitCode {
@@ -159,7 +159,7 @@ struct Outcome {
 
 impl Outcome {
     fn reconciled(&self) -> bool {
-        all_agree(&self.checks)
+        self.checks.iter().all(|&(_, ledger, metric)| ledger == metric)
     }
 
     /// One of [`Outcome::counters`], by its artifact key.
@@ -198,7 +198,10 @@ impl Outcome {
         let _ = writeln!(out, "  \"verdict\": \"{}\",", self.verdict);
         let _ = writeln!(out, "  \"reconciled\": {},", self.reconciled());
         let _ = writeln!(out, "  \"checks\": [");
-        out.push_str(&checks_json(&self.checks, 4));
+        let checks = self.checks.iter().map(|(name, ledger, metric)| {
+            format!("{{\"name\": \"{name}\", \"ledger\": {ledger}, \"metric\": {metric}}}")
+        });
+        out += &json_lines(checks, 4);
         let _ = writeln!(out, "  ]");
         out.push('}');
         out.push('\n');
@@ -221,7 +224,7 @@ fn soak_once(
 ) -> Option<Outcome> {
     let adaptive = adaptive
         .unwrap_or_else(|| AdaptiveConfig::for_pool(load.get(&CAPACITY), load.get(&OBJECTS)));
-    let (artifacts, snap) = metered(true, || {
+    let (artifacts, snap) = metered(|| {
         run_soak(
             scenario,
             &workload(load),
@@ -382,7 +385,11 @@ fn smoke_adaptive(objects: u32) -> AdaptiveConfig {
     let space = 4 * objects as u64;
     AdaptiveConfig {
         capacity: 4,
-        initial_timeout: Duration::from_micros(500),
+        // Long enough to cover the checkers' start-up, debug builds
+        // included: the buggy leg's violation sits in object 0's first
+        // few events, and a shed before its checker first runs leaves it
+        // past a coverage gap — DEGRADED PASS, not FAIL.
+        initial_timeout: Duration::from_millis(5),
         initial_budget: 16,
         tick: Duration::from_millis(2),
         high_watermark: space * 3 / 4,
@@ -495,4 +502,115 @@ fn file_stem(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
+}
+
+// Ledger-vs-registry reconciliation: a soak runs the pool with the
+// metrics registry live and then demands that the `Degradation` ledger
+// and the registry agree *exactly*, increment for increment.
+
+/// `(name, ledger, metric)`; the check holds iff the two sides are equal.
+/// A boolean condition is encoded by [`holds`].
+type Check = (&'static str, u64, u64);
+
+/// A check that is a plain condition: it holds iff `cond`.
+fn holds(name: &'static str, cond: bool) -> Check {
+    (name, u64::from(cond), 1)
+}
+
+/// Runs `f` with the metrics registry reset and live, trace spans
+/// included, and returns its result with the registry's snapshot.
+fn metered<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    metrics::reset();
+    metrics::set_enabled(true);
+    metrics::set_spans_enabled(true);
+    let out = f();
+    metrics::set_spans_enabled(false);
+    metrics::set_enabled(false);
+    (out, metrics::snapshot())
+}
+
+/// The identities every adaptive-pool run must satisfy, whatever the
+/// schedule: conservation at the router and at the shards, and every
+/// shed, controller decision and watchdog escalation in the ledger
+/// exactly as the registry counted it.
+fn overload_checks(d: &Degradation, snap: &Snapshot, log_events: u64) -> Vec<Check> {
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    let decisions = |action| {
+        d.adaptive_decisions
+            .iter()
+            .filter(|x| x.action == action)
+            .count() as u64
+    };
+    let watchdog = |action| {
+        d.watchdog_events
+            .iter()
+            .filter(|x| x.action == action)
+            .count() as u64
+    };
+    let window_sum: u64 = d.shed_windows.iter().map(|w| w.events).sum();
+    let (appended, routed, shed) = (
+        c("log.events_appended"),
+        c("shard.events_routed"),
+        c("shard.events_shed"),
+    );
+    vec![
+        // The log's own counters and the registry agree.
+        ("log events vs log.events_appended", log_events, appended),
+        // Conservation at the router: every appended event was either
+        // delivered to a shard or accounted as shed — nothing vanishes.
+        ("appended vs routed + shed", appended, routed + shed),
+        // Everything delivered to a shard was either checked or is
+        // stranded in an abandoned shard's queue — sheds and stranded
+        // residue are the *only* coverage gaps, and both are counted.
+        (
+            "routed vs checked + stranded",
+            routed,
+            c("pool.events_checked") + d.stranded_events,
+        ),
+        // The ledger's shed total, its per-kind split, and its seq-window
+        // stamps all agree with the registry increment for increment.
+        ("ledger sheds vs shard.events_shed", d.sheds(), shed),
+        (
+            "shed kind split sums to total",
+            c("shard.sheds_timeout") + c("shard.sheds_abandoned") + c("shard.sheds_injected"),
+            shed,
+        ),
+        ("shed window events vs ledger sheds", window_sum, d.sheds()),
+        // Every adaptive decision and watchdog escalation the controller
+        // took is in the ledger, and only those.
+        (
+            "decrease decisions ledger vs metric",
+            decisions(AdaptiveAction::Decrease),
+            c("overload.decisions_decrease"),
+        ),
+        (
+            "recover decisions ledger vs metric",
+            decisions(AdaptiveAction::Recover),
+            c("overload.decisions_recover"),
+        ),
+        (
+            "watchdog rescues ledger vs metric",
+            watchdog(WatchdogAction::RescueWorker),
+            c("overload.watchdog_rescues"),
+        ),
+        (
+            "watchdog quarantines ledger vs metric",
+            watchdog(WatchdogAction::Quarantine),
+            c("overload.watchdog_quarantines"),
+        ),
+    ]
+}
+
+/// A JSON array's body: one element per line, `indent` spaces deep,
+/// comma-separated, newline-terminated (empty for no elements).
+fn json_lines(elements: impl IntoIterator<Item = String>, indent: usize) -> String {
+    let lines: Vec<String> = elements
+        .into_iter()
+        .map(|e| format!("{:indent$}{e}", ""))
+        .collect();
+    if lines.is_empty() {
+        String::new()
+    } else {
+        lines.join(",\n") + "\n"
+    }
 }

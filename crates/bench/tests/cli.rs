@@ -2,6 +2,8 @@
 //! parsed, with the parent's defaults, and rejects everything else with
 //! exit status 2 before anything runs.
 
+mod common;
+
 use std::process::Command as Process;
 
 use vyrd_bench::cli::{self, Args, Exit, Flag, Preset, Ty, COMMANDS};
@@ -94,6 +96,9 @@ fn defaults_are_the_parent_binaries() {
 
     assert_eq!(int(&["table", "1"], &SEED), 0xC0FFEE);
     assert!(!parse(&["table", "3"]).unwrap().given(&QUICK));
+    // `stats` reads its seed from the command line alone: the default is
+    // the CI seed whatever `$VYRD_FAULT_SEED` says (see
+    // `stats_exports_the_snapshot_under_its_own_seed`).
     assert_eq!(int(&["stats"], &SEED), CI);
 
     let c = ["continuous", "produce"];
@@ -304,6 +309,10 @@ fn help_lists_every_subcommand_and_is_the_readme_reference() {
             assert!(one.contains(flag.name) && command.usage().contains(flag.name));
         }
     }
+    assert!(
+        !all.contains("VYRD_FAULT_SEED"),
+        "no subcommand takes its seed from the environment:\n{all}"
+    );
     let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
     let readme = std::fs::read_to_string(readme).expect("README.md");
     assert!(
@@ -348,4 +357,32 @@ fn the_binary_exits_2_on_usage_errors_and_0_on_help() {
         assert_eq!(out.status.code(), Some(0), "{args:?}");
         assert!(!out.stdout.is_empty(), "{args:?}");
     }
+}
+
+/// `vyrd stats` exports the live run's snapshot and nothing else, under
+/// `--seed` or the CI seed — never `$VYRD_FAULT_SEED`.
+#[test]
+fn stats_exports_the_snapshot_under_its_own_seed() {
+    let out = common::scratch_dir("stats-export");
+    for (args, seed) in [(&["stats"][..], "3405691582"), (&["stats", "--seed", "7"], "7")] {
+        let run = Process::new(env!("CARGO_BIN_EXE_vyrd"))
+            .args(args)
+            .env("VYRD_FAULT_SEED", "11")
+            .env("VYRD_BENCH_DIR", &out)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert_eq!(run.status.code(), Some(0), "{args:?}: {stdout}");
+        assert!(stdout.contains(&format!("(seed {seed})")), "{args:?}: {stdout}");
+        assert!(stdout.contains("verdict: PASS"), "{args:?}: {stdout}");
+        let names: Vec<_> = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["METRICS_smoke.json"], "{args:?}");
+        let doc = std::fs::read_to_string(out.join("METRICS_smoke.json")).unwrap();
+        assert!(doc.contains("\"log.events_appended\""), "{doc}");
+        assert!(doc.contains("\"span.call_to_return_ns\""), "{doc}");
+    }
+    std::fs::remove_dir_all(&out).ok();
 }

@@ -12,21 +12,22 @@
 //! * reach the same verdict as a single-process in-memory check of the
 //!   same seeded workload (PASS — the kill must not forge a violation);
 //! * leave the directory near-empty (at most the torn tail file), the
-//!   bounded-disk claim.
+//!   bounded-disk claim, with its segment accounting exact: every segment
+//!   file present at resume is either deleted or still live.
+
+mod common;
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+
+use common::{json_u64, json_values, scratch_dir};
+use vyrd_bench::cli::CI_SEED;
 
 /// `vyrd continuous <args>`.
 fn continuous(args: &[&str]) -> Command {
     let mut command = Command::new(env!("CARGO_BIN_EXE_vyrd"));
     command.arg("continuous").args(args);
     command
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("vyrd-{tag}-{}", std::process::id()))
 }
 
 /// Pulls `key=value` tokens out of one progress/final line.
@@ -75,9 +76,9 @@ fn run_to_final(args: &[&str]) -> (String, String) {
 
 #[test]
 fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
-    let dir = temp_dir("kill-resume");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch_dir("kill-resume");
     let dir_s = dir.to_string_lossy().into_owned();
+    let seed = CI_SEED.to_string();
 
     // A workload large enough that the kill lands mid-run; the gate fires
     // after a handful of 4 KiB segments, long before completion.
@@ -85,6 +86,8 @@ fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
         "produce",
         "--dir",
         &dir_s,
+        "--seed",
+        &seed,
         "--calls",
         "8000",
         "--segment-bytes",
@@ -108,9 +111,23 @@ fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
         "no checkpoint in {names:?}"
     );
     assert!(names.iter().any(|n| n == "manifest.log"), "{names:?}");
+    let segments_at_resume = names
+        .iter()
+        .filter(|n| n.starts_with("seg-") && n.ends_with(".vyl"))
+        .count() as u64;
 
-    // Resume in a fresh process.
-    let (resumed, resume_out) = run_to_final(&["resume", "--dir", &dir_s]);
+    // Resume in a fresh process, exporting the outcome as JSON too.
+    let out = scratch_dir("kill-resume-json");
+    let json = out.join("SEGMENT_smoke.json");
+    let (resumed, resume_out) = run_to_final(&[
+        "resume",
+        "--dir",
+        &dir_s,
+        "--seed",
+        &seed,
+        "--json",
+        &json.to_string_lossy(),
+    ]);
     let resume_seq = resume_out
         .lines()
         .find(|l| l.starts_with("resume "))
@@ -120,7 +137,7 @@ fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
     assert_eq!(kv(&resumed, "passed"), Some(1), "{resumed}");
 
     // Same verdict as the single-process in-memory check of this seed.
-    let (single, _) = run_to_final(&["single", "--calls", "8000"]);
+    let (single, _) = run_to_final(&["single", "--seed", &seed, "--calls", "8000"]);
     assert_eq!(kv(&resumed, "passed"), kv(&single, "passed"), "{resumed} vs {single}");
     assert_eq!(kv(&single, "passed"), Some(1), "{single}");
 
@@ -136,13 +153,27 @@ fn sigkill_mid_run_resumes_from_checkpoint_with_the_same_verdict() {
         events_after_resume >= resume_seq,
         "resumed coverage went backwards: {resumed}"
     );
+
+    // The exported outcome says the same, and its segment accounting
+    // reconciles exactly against the files the kill left behind.
+    let doc = std::fs::read_to_string(&json).expect("resume --json artifact");
+    assert_eq!(json_values(&doc, "passed"), ["true"], "{doc}");
+    assert_eq!(json_u64(&doc, "resume_seq"), resume_seq, "{doc}");
+    assert!(json_u64(&doc, "checkpoints_written") >= 1, "{doc}");
+    assert!(json_u64(&doc, "events_checked_after_resume") >= resume_seq, "{doc}");
+    assert!(json_u64(&doc, "live_segments") <= 1, "disk not reclaimed: {doc}");
+    assert_eq!(
+        json_u64(&doc, "segments_deleted") + json_u64(&doc, "live_segments"),
+        segments_at_resume,
+        "segment accounting does not reconcile with the files present at resume: {doc}"
+    );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&out).ok();
 }
 
 #[test]
 fn clean_produce_deletes_everything_and_matches_single_process() {
-    let dir = temp_dir("clean-produce");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch_dir("clean-produce");
     let dir_s = dir.to_string_lossy().into_owned();
 
     let (produced, _) = run_to_final(&[

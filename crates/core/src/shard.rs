@@ -386,10 +386,10 @@ impl RouteState {
 
     /// Folds `n` sheds, dispatched within `first_seq..=last_seq`, into
     /// the per-object count and its dispatch-seq window, mirroring the
-    /// metric increments exactly (`vyrd stats` asserts the ledger and
-    /// the counters never drift). The first shed freezes the object's
-    /// delivered count into the window as the gap-free prefix length.
-    /// Returns the object's sheds so far.
+    /// metric increments exactly (`crates/bench/tests/reconcile.rs`
+    /// asserts the ledger and the counters never drift). The first shed
+    /// freezes the object's delivered count into the window as the
+    /// gap-free prefix length. Returns the object's sheds so far.
     fn record_shed(
         &mut self,
         at: usize,

@@ -24,7 +24,7 @@ use vyrd_core::{AdaptiveConfig, MethodId, ObjectId, Value, Verdict};
 use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd_rt::metrics;
 
-/// The CI seed `scripts/verify.sh` pins, so faulted schedules replay.
+/// The CI seed (`vyrd_bench::cli::CI_SEED`), so faulted schedules replay.
 const SEED: u64 = 3_405_691_582;
 
 fn serial() -> MutexGuard<'static, ()> {

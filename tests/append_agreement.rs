@@ -19,6 +19,8 @@
 //! subsequence of the reference and the loss must be fully accounted in
 //! `LogStats::events_dropped_injected`.
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
@@ -33,7 +35,12 @@ use vyrd::rt::channel;
 use vyrd::rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd::rt::rng::Rng;
 
+use common::base_seeds;
+
 const OBJECTS: u32 = 3;
+
+/// This suite's own seed; [`base_seeds`] adds the CI seed.
+const DEFAULT_SEED: u64 = 0x000A_94EE_0001;
 
 /// The fault registry is process-global; tests that install plans take
 /// this lock so concurrently running tests in this binary don't trip each
@@ -43,16 +50,6 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The agreement-test seed: `VYRD_FAULT_SEED` when set (so verify.sh can
-/// pin the whole binary to one replayable schedule), a fixed default
-/// otherwise.
-fn base_seed() -> u64 {
-    std::env::var(fault::SEED_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x000A_94EE_0001)
 }
 
 /// Drives a randomized multi-thread workload through an [`EventLog`] and
@@ -172,19 +169,21 @@ fn dual_logged_run(
 #[test]
 fn batched_path_reproduces_the_reference_total_order() {
     let _serial = serial();
-    let mut seeds = Rng::seed_from_u64(base_seed());
-    for mode in [LogMode::Io, LogMode::View] {
-        for _ in 0..4 {
-            let seed = seeds.next_u64();
-            for per_op in [false, true] {
-                let (reference, batched, stats) = dual_logged_run(seed, 4, 200, mode, per_op);
-                let run = format!("seed {seed} {mode:?} per_op {per_op}");
-                assert_eq!(reference.len(), batched.len(), "{run}: event counts diverge");
-                for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
-                    assert_eq!(r, b, "{run}: order diverges at {i}: {r} vs {b}");
+    for base in base_seeds(DEFAULT_SEED) {
+        let mut seeds = Rng::seed_from_u64(base);
+        for mode in [LogMode::Io, LogMode::View] {
+            for _ in 0..4 {
+                let seed = seeds.next_u64();
+                for per_op in [false, true] {
+                    let (reference, batched, stats) = dual_logged_run(seed, 4, 200, mode, per_op);
+                    let run = format!("seed {seed} {mode:?} per_op {per_op}");
+                    assert_eq!(reference.len(), batched.len(), "{run}: event counts diverge");
+                    for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
+                        assert_eq!(r, b, "{run}: order diverges at {i}: {r} vs {b}");
+                    }
+                    assert_eq!(stats.events, batched.len() as u64);
+                    assert_eq!(stats.events_dropped_injected, 0);
                 }
-                assert_eq!(stats.events, batched.len() as u64);
-                assert_eq!(stats.events_dropped_injected, 0);
             }
         }
     }
@@ -193,10 +192,12 @@ fn batched_path_reproduces_the_reference_total_order() {
 #[test]
 fn batched_path_records_nothing_in_off_mode() {
     let _serial = serial();
-    let (reference, batched, stats) = dual_logged_run(base_seed(), 4, 50, LogMode::Off, false);
-    assert!(reference.is_empty());
-    assert!(batched.is_empty());
-    assert_eq!(stats, vyrd::core::log::LogStats::default());
+    for base in base_seeds(DEFAULT_SEED) {
+        let (reference, batched, stats) = dual_logged_run(base, 4, 50, LogMode::Off, false);
+        assert!(reference.is_empty());
+        assert!(batched.is_empty());
+        assert_eq!(stats, vyrd::core::log::LogStats::default());
+    }
 }
 
 /// `true` iff `needle` is a subsequence of `haystack` (order-preserving,
@@ -209,29 +210,31 @@ fn is_subsequence(needle: &[Event], haystack: &[Event]) -> bool {
 #[test]
 fn injected_append_drops_reconcile_against_the_reference() {
     let _serial = serial();
-    let seed = base_seed();
-    for per_op in [false, true] {
-        let scope = fault::install(FaultPlan::seeded(seed).rule(
-            "log.append",
-            FaultRule::always(FaultAction::Drop).with_probability(0.25),
-        ));
-        let (reference, batched, stats) = dual_logged_run(seed, 4, 150, LogMode::View, per_op);
-        drop(scope);
-        // The failpoint fires before an event is stamped, so surviving
-        // events keep their relative order: the batched log is a
-        // gapless-by-seq subsequence of the reference, and every missing
-        // event is accounted.
-        assert!(batched.len() < reference.len(), "plan injected no drops");
-        assert!(
-            is_subsequence(&batched, &reference),
-            "seed {seed} per_op {per_op}: batched log is not a subsequence of the reference"
-        );
-        assert_eq!(
-            stats.events_dropped_injected,
-            (reference.len() - batched.len()) as u64,
-            "seed {seed} per_op {per_op}: injected-drop accounting disagrees with the reference"
-        );
-        assert_eq!(stats.events, batched.len() as u64);
+    for base in base_seeds(DEFAULT_SEED) {
+        let seed = base;
+        for per_op in [false, true] {
+            let scope = fault::install(FaultPlan::seeded(seed).rule(
+                "log.append",
+                FaultRule::always(FaultAction::Drop).with_probability(0.25),
+            ));
+            let (reference, batched, stats) = dual_logged_run(seed, 4, 150, LogMode::View, per_op);
+            drop(scope);
+            // The failpoint fires before an event is stamped, so surviving
+            // events keep their relative order: the batched log is a
+            // gapless-by-seq subsequence of the reference, and every missing
+            // event is accounted.
+            assert!(batched.len() < reference.len(), "plan injected no drops");
+            assert!(
+                is_subsequence(&batched, &reference),
+                "seed {seed} per_op {per_op}: batched log is not a subsequence of the reference"
+            );
+            assert_eq!(
+                stats.events_dropped_injected,
+                (reference.len() - batched.len()) as u64,
+                "seed {seed} per_op {per_op}: injected-drop accounting disagrees with the reference"
+            );
+            assert_eq!(stats.events, batched.len() as u64);
+        }
     }
 }
 
@@ -290,28 +293,30 @@ fn scenario_verdicts_are_identical_through_the_batched_pipeline() {
     // log, then checked twice: batched pipeline (pool + channel batches)
     // vs the reference offline per-object loop.
     let _serial = serial();
-    let mut seeds = Rng::seed_from_u64(base_seed() ^ 0x5EED);
-    for scenario in scenarios::all()
-        .into_iter()
-        .filter(|s| s.shard_factory(CheckKind::View).is_some())
-    {
-        for _ in 0..3 {
-            let seed = seeds.next_u64();
-            let events = record_multi(scenario.as_ref(), seed);
-            let pooled = pool_verdict(scenario.as_ref(), &events);
-            let offline = per_object_offline_verdicts(scenario.as_ref(), &events);
-            let offline_pass = offline.iter().all(Report::passed);
-            assert!(
-                offline_pass,
-                "{} seed {seed}: correct variant must pass offline",
-                scenario.name()
-            );
-            assert_eq!(
-                pooled.passed(),
-                offline_pass,
-                "{} seed {seed}: batched pipeline verdict diverges: {pooled}",
-                scenario.name()
-            );
+    for base in base_seeds(DEFAULT_SEED) {
+        let mut seeds = Rng::seed_from_u64(base ^ 0x5EED);
+        for scenario in scenarios::all()
+            .into_iter()
+            .filter(|s| s.shard_factory(CheckKind::View).is_some())
+        {
+            for _ in 0..3 {
+                let seed = seeds.next_u64();
+                let events = record_multi(scenario.as_ref(), seed);
+                let pooled = pool_verdict(scenario.as_ref(), &events);
+                let offline = per_object_offline_verdicts(scenario.as_ref(), &events);
+                let offline_pass = offline.iter().all(Report::passed);
+                assert!(
+                    offline_pass,
+                    "{} seed {seed}: correct variant must pass offline",
+                    scenario.name()
+                );
+                assert_eq!(
+                    pooled.passed(),
+                    offline_pass,
+                    "{} seed {seed}: batched pipeline verdict diverges: {pooled}",
+                    scenario.name()
+                );
+            }
         }
     }
 }

@@ -17,6 +17,8 @@
 //! stamp dispatch seqs per event and flush pending deliveries before
 //! freezing a window (degrade-never-forge at batch boundaries).
 
+mod common;
+
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
@@ -32,7 +34,12 @@ use vyrd::rt::channel;
 use vyrd::rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd::rt::rng::Rng;
 
+use common::base_seeds;
+
 const OBJECTS: u32 = 3;
+
+/// This suite's own seed; [`base_seeds`] adds the CI seed.
+const DEFAULT_SEED: u64 = 0x000C_0A5E_0002;
 
 /// The fault registry is process-global; tests serialize so plans never
 /// leak across concurrently running tests in this binary.
@@ -41,15 +48,6 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `VYRD_FAULT_SEED` when set (so verify.sh pins one replayable
-/// schedule), a fixed default otherwise.
-fn base_seed() -> u64 {
-    std::env::var(fault::SEED_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x000C_0A5E_0002)
 }
 
 fn cfg(seed: u64) -> WorkloadConfig {
@@ -116,35 +114,37 @@ fn per_event_verdicts(scenario: &dyn Scenario, kind: CheckKind, events: &[Event]
 #[test]
 fn batched_consume_agrees_with_per_event_baseline() {
     let _serial = serial();
-    let mut seeds = Rng::seed_from_u64(base_seed());
-    for scenario in scenarios::all() {
-        for kind in [CheckKind::Io, CheckKind::View, CheckKind::Lin] {
-            if !scenario.supports(kind) {
-                continue;
-            }
-            for variant in [Variant::Correct, Variant::Buggy] {
-                let seed = seeds.next_u64();
-                let Some(events) = record_multi(scenario.as_ref(), kind, variant, seed) else {
-                    continue; // scenario has no multi-object driver
-                };
-                let baseline = per_event_verdicts(scenario.as_ref(), kind, &events);
-                let baseline_pass = baseline.iter().all(Report::passed);
-                if variant == Variant::Correct {
-                    assert!(
-                        baseline_pass,
-                        "{} {kind:?} seed {seed}: correct variant must pass per-event",
-                        scenario.name()
-                    );
+    for base in base_seeds(DEFAULT_SEED) {
+        let mut seeds = Rng::seed_from_u64(base);
+        for scenario in scenarios::all() {
+            for kind in [CheckKind::Io, CheckKind::View, CheckKind::Lin] {
+                if !scenario.supports(kind) {
+                    continue;
                 }
-                for workers in [1usize, 4] {
-                    let pooled = pooled_verdict(scenario.as_ref(), kind, &events, workers);
-                    assert_eq!(
-                        pooled.passed(),
-                        baseline_pass,
-                        "{} {kind:?} {variant:?} seed {seed} workers {workers}: \
-                         batched verdict diverges from per-event baseline: {pooled}",
-                        scenario.name()
-                    );
+                for variant in [Variant::Correct, Variant::Buggy] {
+                    let seed = seeds.next_u64();
+                    let Some(events) = record_multi(scenario.as_ref(), kind, variant, seed) else {
+                        continue; // scenario has no multi-object driver
+                    };
+                    let baseline = per_event_verdicts(scenario.as_ref(), kind, &events);
+                    let baseline_pass = baseline.iter().all(Report::passed);
+                    if variant == Variant::Correct {
+                        assert!(
+                            baseline_pass,
+                            "{} {kind:?} seed {seed}: correct variant must pass per-event",
+                            scenario.name()
+                        );
+                    }
+                    for workers in [1usize, 4] {
+                        let pooled = pooled_verdict(scenario.as_ref(), kind, &events, workers);
+                        assert_eq!(
+                            pooled.passed(),
+                            baseline_pass,
+                            "{} {kind:?} {variant:?} seed {seed} workers {workers}: \
+                             batched verdict diverges from per-event baseline: {pooled}",
+                            scenario.name()
+                        );
+                    }
                 }
             }
         }
@@ -192,42 +192,44 @@ fn routed_run(config: ShardConfig, events: &[Event], seed: u64, drops: u64) -> R
 #[test]
 fn injected_route_drops_degrade_identically_across_batch_boundaries() {
     let _serial = serial();
-    let seed = base_seed();
-    const DROPS: u64 = 9;
-    let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
-    let events = record_multi(scenario.as_ref(), CheckKind::View, Variant::Correct, seed)
-        .expect("multi-object trace");
+    for base in base_seeds(DEFAULT_SEED) {
+        let seed = base;
+        const DROPS: u64 = 9;
+        let scenario = scenarios::by_name("Multiset-Vector").expect("known scenario");
+        let events = record_multi(scenario.as_ref(), CheckKind::View, Variant::Correct, seed)
+            .expect("multi-object trace");
 
-    // Batched delivery: the default Block/unbounded config.
-    let batched = routed_run(ShardConfig::default(), &events, seed, DROPS);
-    // Per-event delivery: a Shed-policy bounded router sends one event
-    // at a time (it must observe fullness per event). The bound is far
-    // above the trace size, so the *only* sheds are the injected ones.
-    let per_event_config = ShardConfig {
-        capacity: Some(1 << 20),
-        policy: OverloadPolicy::Shed {
-            timeout: Duration::from_secs(5),
-            budget: u64::MAX,
-        },
-    };
-    let reference = routed_run(per_event_config, &events, seed, DROPS);
+        // Batched delivery: the default Block/unbounded config.
+        let batched = routed_run(ShardConfig::default(), &events, seed, DROPS);
+        // Per-event delivery: a Shed-policy bounded router sends one event
+        // at a time (it must observe fullness per event). The bound is far
+        // above the trace size, so the *only* sheds are the injected ones.
+        let per_event_config = ShardConfig {
+            capacity: Some(1 << 20),
+            policy: OverloadPolicy::Shed {
+                timeout: Duration::from_secs(5),
+                budget: u64::MAX,
+            },
+        };
+        let reference = routed_run(per_event_config, &events, seed, DROPS);
 
-    let total: u64 = batched.sheds.iter().map(|(_, n)| n).sum();
-    assert_eq!(total, DROPS, "seed {seed}: plan must shed exactly its budget");
-    assert_eq!(
-        batched.sheds, reference.sheds,
-        "seed {seed}: per-object shed counts diverge"
-    );
-    // Field-for-field: first/last dispatch seq, shed count, and the
-    // delivered-prefix length every downgrade decision keys off.
-    assert_eq!(
-        batched.windows, reference.windows,
-        "seed {seed}: shed windows diverge between batched and per-event routing"
-    );
-    // Degrade, never forge: both routers deliver the identical per-object
-    // subsequences — batching only changes when events move, not which.
-    assert_eq!(
-        batched.streams, reference.streams,
-        "seed {seed}: delivered shard streams diverge"
-    );
+        let total: u64 = batched.sheds.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, DROPS, "seed {seed}: plan must shed exactly its budget");
+        assert_eq!(
+            batched.sheds, reference.sheds,
+            "seed {seed}: per-object shed counts diverge"
+        );
+        // Field-for-field: first/last dispatch seq, shed count, and the
+        // delivered-prefix length every downgrade decision keys off.
+        assert_eq!(
+            batched.windows, reference.windows,
+            "seed {seed}: shed windows diverge between batched and per-event routing"
+        );
+        // Degrade, never forge: both routers deliver the identical per-object
+        // subsequences — batching only changes when events move, not which.
+        assert_eq!(
+            batched.streams, reference.streams,
+            "seed {seed}: delivered shard streams diverge"
+        );
+    }
 }

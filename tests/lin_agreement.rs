@@ -4,9 +4,9 @@
 //! per-object Lin checks of the same recorded multi-object trace — for
 //! the correct and the buggy variant of both lock-free structures.
 //!
-//! Seeds come from a fixed [`vyrd_rt::rng`] block (overridable with
-//! `VYRD_FAULT_SEED`, so verify.sh pins the whole binary to one
-//! replayable schedule). The buggy variants run their choreographed
+//! Seeds come from a fixed [`vyrd_rt::rng`] block, drawn once from this
+//! suite's own seed and once from the CI seed (`VYRD_FAULT_SEED` replaces
+//! both, to replay one schedule). The buggy variants run their choreographed
 //! prologue on object 0 before the workload threads start, so exactly
 //! that shard carries a deterministic violation at every seed.
 //!
@@ -15,6 +15,8 @@
 //! degraded (or failing) report — never as a clean PASS that silently
 //! skipped coverage, and never as a violation blamed on a shard whose
 //! events all arrived.
+
+mod common;
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -30,7 +32,12 @@ use vyrd::rt::channel;
 use vyrd::rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd::rt::rng::Rng;
 
+use common::base_seeds;
+
 const OBJECTS: u32 = 4;
+
+/// This suite's own seed; [`base_seeds`] adds the CI seed.
+const DEFAULT_SEED: u64 = 0x0011_4EA7_0001;
 
 /// The fault registry is process-global; every test in this binary takes
 /// this lock so the injected-drop plan can't leak into a clean run.
@@ -39,14 +46,6 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `VYRD_FAULT_SEED` when set, a fixed default otherwise.
-fn base_seed() -> u64 {
-    std::env::var(fault::SEED_ENV)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0011_4EA7_0001)
 }
 
 fn cfg(seed: u64) -> WorkloadConfig {
@@ -140,20 +139,22 @@ fn assert_shards_agree(
 #[test]
 fn sharded_lin_agrees_with_offline_on_correct_variants() {
     let _serial = serial();
-    let mut seeds = Rng::seed_from_u64(base_seed());
-    for scenario in scenarios::lockfree() {
-        for _ in 0..4 {
-            let seed = seeds.next_u64();
-            let events = record_multi(scenario.as_ref(), seed, Variant::Correct);
-            let all = pool_report(scenario.as_ref(), &events);
-            let offline = per_object_offline(scenario.as_ref(), &events);
-            assert!(
-                all.merged.verdict() == Verdict::Pass && !all.merged.is_degraded(),
-                "{} seed {seed}: correct variant must pass cleanly: {}",
-                scenario.name(),
-                all.merged
-            );
-            assert_shards_agree(scenario.as_ref(), seed, &all.per_object, &offline);
+    for base in base_seeds(DEFAULT_SEED) {
+        let mut seeds = Rng::seed_from_u64(base);
+        for scenario in scenarios::lockfree() {
+            for _ in 0..4 {
+                let seed = seeds.next_u64();
+                let events = record_multi(scenario.as_ref(), seed, Variant::Correct);
+                let all = pool_report(scenario.as_ref(), &events);
+                let offline = per_object_offline(scenario.as_ref(), &events);
+                assert!(
+                    all.merged.verdict() == Verdict::Pass && !all.merged.is_degraded(),
+                    "{} seed {seed}: correct variant must pass cleanly: {}",
+                    scenario.name(),
+                    all.merged
+                );
+                assert_shards_agree(scenario.as_ref(), seed, &all.per_object, &offline);
+            }
         }
     }
 }
@@ -164,31 +165,33 @@ fn sharded_lin_agrees_with_offline_on_buggy_variants() {
     // so at every seed that shard carries a deterministic violation and
     // the other K−1 shards are healthy.
     let _serial = serial();
-    let mut seeds = Rng::seed_from_u64(base_seed() ^ 0xB06);
-    for scenario in scenarios::lockfree() {
-        for _ in 0..4 {
-            let seed = seeds.next_u64();
-            let events = record_multi(scenario.as_ref(), seed, Variant::Buggy);
-            let all = pool_report(scenario.as_ref(), &events);
-            let offline = per_object_offline(scenario.as_ref(), &events);
-            assert!(!all.merged.passed(), "{} seed {seed}: {}", scenario.name(), all.merged);
-            let bad = offline
-                .iter()
-                .find(|(o, _)| *o == ObjectId(0))
-                .expect("object 0 shard");
-            assert!(
-                !bad.1.passed(),
-                "{} seed {seed}: the prologue shard must fail: {}",
-                scenario.name(),
-                bad.1
-            );
-            assert_eq!(
-                bad.1.violation.as_ref().map(|v| v.category()),
-                Some("spec-rejected-commit"),
-                "{} seed {seed}",
-                scenario.name()
-            );
-            assert_shards_agree(scenario.as_ref(), seed, &all.per_object, &offline);
+    for base in base_seeds(DEFAULT_SEED) {
+        let mut seeds = Rng::seed_from_u64(base ^ 0xB06);
+        for scenario in scenarios::lockfree() {
+            for _ in 0..4 {
+                let seed = seeds.next_u64();
+                let events = record_multi(scenario.as_ref(), seed, Variant::Buggy);
+                let all = pool_report(scenario.as_ref(), &events);
+                let offline = per_object_offline(scenario.as_ref(), &events);
+                assert!(!all.merged.passed(), "{} seed {seed}: {}", scenario.name(), all.merged);
+                let bad = offline
+                    .iter()
+                    .find(|(o, _)| *o == ObjectId(0))
+                    .expect("object 0 shard");
+                assert!(
+                    !bad.1.passed(),
+                    "{} seed {seed}: the prologue shard must fail: {}",
+                    scenario.name(),
+                    bad.1
+                );
+                assert_eq!(
+                    bad.1.violation.as_ref().map(|v| v.category()),
+                    Some("spec-rejected-commit"),
+                    "{} seed {seed}",
+                    scenario.name()
+                );
+                assert_shards_agree(scenario.as_ref(), seed, &all.per_object, &offline);
+            }
         }
     }
 }
@@ -202,60 +205,62 @@ fn injected_routing_drops_degrade_and_never_forge() {
     // actually lost events or one the healthy offline check fails too.
     const DROPS: u64 = 7;
     let _serial = serial();
-    let seed = base_seed() ^ 0xD20B;
-    for scenario in scenarios::lockfree() {
-        let events = record_multi(scenario.as_ref(), seed, Variant::Correct);
-        let offline = per_object_offline(scenario.as_ref(), &events);
-        assert!(offline.iter().all(|(_, r)| r.passed()), "healthy trace must pass offline");
-        let _scope = fault::install(FaultPlan::seeded(seed).rule(
-            "shard.route",
-            FaultRule::always(FaultAction::Drop).after(3).times(DROPS),
-        ));
-        let all = pool_report(scenario.as_ref(), &events);
-        drop(_scope);
-        let d = &all.merged.degradation;
-        assert_eq!(
-            d.injected_sheds(),
-            DROPS,
-            "{}: every dropped event must be counted, once: {}",
-            scenario.name(),
-            all.merged
-        );
-        // A checker that stops at the hole hangs up, and what the router
-        // then cannot deliver to it is shed as well — nothing else is.
-        assert_eq!(d.sheds(), d.shed_windows.iter().map(|w| w.events).sum::<u64>());
-        for w in &d.shed_windows {
-            assert!(
-                w.events == w.injected || w.abandoned_at_seq.is_some(),
-                "{}: sheds beyond the injected ones without a hang-up: {}",
+    for base in base_seeds(DEFAULT_SEED) {
+        let seed = base ^ 0xD20B;
+        for scenario in scenarios::lockfree() {
+            let events = record_multi(scenario.as_ref(), seed, Variant::Correct);
+            let offline = per_object_offline(scenario.as_ref(), &events);
+            assert!(offline.iter().all(|(_, r)| r.passed()), "healthy trace must pass offline");
+            let _scope = fault::install(FaultPlan::seeded(seed).rule(
+                "shard.route",
+                FaultRule::always(FaultAction::Drop).after(3).times(DROPS),
+            ));
+            let all = pool_report(scenario.as_ref(), &events);
+            drop(_scope);
+            let d = &all.merged.degradation;
+            assert_eq!(
+                d.injected_sheds(),
+                DROPS,
+                "{}: every dropped event must be counted, once: {}",
                 scenario.name(),
                 all.merged
             );
-        }
-        assert_ne!(
-            all.merged.verdict(),
-            Verdict::Pass,
-            "{}: lost coverage reported as a clean PASS: {}",
-            scenario.name(),
-            all.merged
-        );
-        // Degrades, never forges: shards with no recorded loss must reach
-        // the same passing verdict the offline reference does.
-        let lossy: Vec<ObjectId> = d
-            .sheds_by_object
-            .iter()
-            .filter(|(_, n)| *n > 0)
-            .map(|(o, _)| *o)
-            .collect();
-        for (object, report) in &all.per_object {
-            if lossy.contains(object) {
-                continue;
+            // A checker that stops at the hole hangs up, and what the router
+            // then cannot deliver to it is shed as well — nothing else is.
+            assert_eq!(d.sheds(), d.shed_windows.iter().map(|w| w.events).sum::<u64>());
+            for w in &d.shed_windows {
+                assert!(
+                    w.events == w.injected || w.abandoned_at_seq.is_some(),
+                    "{}: sheds beyond the injected ones without a hang-up: {}",
+                    scenario.name(),
+                    all.merged
+                );
             }
-            assert!(
-                report.passed(),
-                "{} {object}: no events were lost here, yet the pool failed it: {report}",
-                scenario.name()
+            assert_ne!(
+                all.merged.verdict(),
+                Verdict::Pass,
+                "{}: lost coverage reported as a clean PASS: {}",
+                scenario.name(),
+                all.merged
             );
+            // Degrades, never forges: shards with no recorded loss must reach
+            // the same passing verdict the offline reference does.
+            let lossy: Vec<ObjectId> = d
+                .sheds_by_object
+                .iter()
+                .filter(|(_, n)| *n > 0)
+                .map(|(o, _)| *o)
+                .collect();
+            for (object, report) in &all.per_object {
+                if lossy.contains(object) {
+                    continue;
+                }
+                assert!(
+                    report.passed(),
+                    "{} {object}: no events were lost here, yet the pool failed it: {report}",
+                    scenario.name()
+                );
+            }
         }
     }
 }
