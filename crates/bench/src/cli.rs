@@ -250,8 +250,8 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "soak",
         modes: &[],
-        about: "open-loop soak through the adaptive sharded pipeline \
-                (results/SOAK_<scenario>.json)",
+        about: "open-loop soak through the shedding sharded pipeline: 20 ms shed \
+                timeout, 64-shed budget, 250 ms watchdog (results/SOAK_<scenario>.json)",
         flags: &[
             (&SCENARIO, Text("Multiset-Vector")),
             (&KIND, Text("view")),

@@ -15,7 +15,7 @@
 //!   degradation ledger is the `tests/reconcile.rs` suite);
 //! * `vyrd continuous produce|resume|single` — the durable segmented log
 //!   with its checkpointed verifier, built to be killed and resumed;
-//! * `vyrd soak` — open-loop load past saturation with adaptive shedding;
+//! * `vyrd soak` — open-loop load past saturation with bounded shedding;
 //! * `vyrd witness` — minimized, explained counterexamples.
 //!
 //! `cargo bench -p vyrd-bench` runs two `harness = false` programs that

@@ -1,4 +1,4 @@
-//! `vyrd soak` — the open-loop soak harness with adaptive overload control.
+//! `vyrd soak` — the open-loop soak harness for overload control.
 //!
 //! Unlike the closed-loop table drivers (which issue the next call only
 //! after the previous one returns, so offered load self-throttles to
@@ -6,23 +6,24 @@
 //! arrival schedule*: `--rate` calls per second for `--duration`
 //! seconds, released by [`OpBudget`]'s pacer whether or not the verifier
 //! keeps up. Queue depth is therefore allowed to grow — which is the
-//! point. Past saturation the adaptive controller
-//! ([`vyrd_core::AdaptiveShed`]) must tighten admission, shed with exact
-//! accounting, and converge to a bounded-lag DEGRADED PASS — never an
-//! unbounded queue, a deadlock, or a forged verdict.
+//! point. Past saturation the shards' fixed `Shed` timeout and budget
+//! bound each stall, the [`vyrd_core::Watchdog`] escalates stuck shards,
+//! and the run must shed with exact accounting and end in a bounded-lag
+//! DEGRADED PASS — never an unbounded queue, a deadlock, or a forged
+//! verdict.
 //!
 //! Two modes:
 //!
 //! * **Soak** (default): one scenario (or `--scenario all`) driven
-//!   through the adaptive sharded pipeline at the offered rate. Prints
+//!   through the shedding sharded pipeline at the offered rate. Prints
 //!   offered vs sustained throughput and the p50/p95/p99/p99.9
 //!   call→commit and call→return latencies from the span ring, and
 //!   writes `results/SOAK_<scenario>.json`.
 //! * **Smoke** (`--smoke`): a pinned-seed, seconds-long saturation run,
 //!   gated by `tests/smoke_gates.rs`. A `pool.check` delay failpoint
 //!   stalls one shard deterministically while the pacer keeps offering
-//!   load, forcing the controller through its shed/decrease/recover
-//!   cycle. Writes `results/SOAK_smoke.json` and exits non-zero unless
+//!   load, forcing that shard to shed. Writes `results/SOAK_smoke.json`
+//!   and exits non-zero unless
 //!   the metrics registry, the [`Degradation`] ledger, and the log's own
 //!   counters reconcile exactly — and unless the correct variant stays
 //!   non-FAIL while the buggy variant stays non-PASS.
@@ -40,8 +41,9 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use vyrd_core::pool::SupervisorConfig;
-use vyrd_core::violation::{AdaptiveAction, Degradation, Verdict, WatchdogAction};
-use vyrd_core::AdaptiveConfig;
+use vyrd_core::shard::ShardConfig;
+use vyrd_core::violation::{Degradation, ShedWindow, Verdict, WatchdogAction};
+use vyrd_core::ObjectId;
 use vyrd_harness::scenario::{
     reconstruct_witness, run_soak, CheckKind, Scenario, SoakArtifacts, Variant,
 };
@@ -80,7 +82,7 @@ pub(crate) fn run(args: &Args) -> ExitCode {
         let kind = Some(args.get(&KIND))
             .filter(|k| scenario.supports(*k))
             .unwrap_or(CheckKind::Io);
-        match soak_once(scenario.as_ref(), kind, variant, args, None) {
+        match soak_once(scenario.as_ref(), kind, variant, args, SOAK_OVERLOAD) {
             Some(outcome) => {
                 print_outcome(&outcome);
                 let file = format!("SOAK_{}.json", file_stem(name));
@@ -152,7 +154,7 @@ struct Outcome {
     /// pipeline (`appended` … `watchdog_quarantines`) with the ledger's
     /// `stranded` and `unreliable_violations` among them.
     counters: Vec<(&'static str, u64)>,
-    shed_windows: Vec<String>,
+    shed_windows: Vec<ShedWindow>,
     verdict: Verdict,
     checks: Vec<Check>,
 }
@@ -209,21 +211,52 @@ impl Outcome {
     }
 }
 
-/// Drives one scenario through the adaptive pipeline at the offered
+/// The fixed overload constants a soak runs under.
+#[derive(Clone, Copy)]
+struct Overload {
+    /// How long an append may stall on a full shard before it sheds.
+    shed_timeout: Duration,
+    /// Sheds an object may take before its shard is abandoned.
+    shed_budget: u64,
+    /// How long a shard may hold queued events without consumption
+    /// before the watchdog escalates it.
+    stall_deadline: Duration,
+}
+
+/// `vyrd soak`'s constants: a full shard stalls the program at most
+/// 20 ms per event, 64 times, and a shard stuck for 250 ms is escalated.
+const SOAK_OVERLOAD: Overload = Overload {
+    shed_timeout: Duration::from_millis(20),
+    shed_budget: 64,
+    stall_deadline: Duration::from_millis(250),
+};
+
+/// The smoke's constants, for its tiny channels and sub-second run.
+const SMOKE_OVERLOAD: Overload = Overload {
+    // Long enough to cover the checkers' start-up, debug builds
+    // included: the buggy leg's violation sits in object 0's first few
+    // events, and a shed before its checker first runs leaves it past a
+    // coverage gap — DEGRADED PASS, not FAIL.
+    shed_timeout: Duration::from_millis(10),
+    // Low enough that a stalled shard exhausts its budget and is
+    // abandoned within the run, instead of paying the shed timeout per
+    // event for the whole duration.
+    shed_budget: 16,
+    stall_deadline: Duration::from_millis(200),
+};
+
+/// Drives one scenario through the shedding pipeline at the offered
 /// rate, with counters and spans live, and reconciles every counter the
 /// ledger and the registry share. `load` is a `vyrd soak` command line
-/// (rate, duration, objects, workers, capacity, threads, seed);
-/// `adaptive` overrides the derived controller config (the smoke uses a
-/// deliberately tiny one).
+/// (rate, duration, objects, workers, capacity, threads, seed).
 fn soak_once(
     scenario: &dyn Scenario,
     kind: CheckKind,
     variant: Variant,
     load: &Args,
-    adaptive: Option<AdaptiveConfig>,
+    overload: Overload,
 ) -> Option<Outcome> {
-    let adaptive = adaptive
-        .unwrap_or_else(|| AdaptiveConfig::for_pool(load.get(&CAPACITY), load.get(&OBJECTS)));
+    let capacity = load.get(&CAPACITY);
     let (artifacts, snap) = metered(|| {
         run_soak(
             scenario,
@@ -232,8 +265,11 @@ fn soak_once(
             variant,
             load.get(&OBJECTS),
             load.get(&WORKERS),
-            adaptive,
-            SupervisorConfig::default(),
+            ShardConfig::bounded_shedding(capacity, overload.shed_timeout, overload.shed_budget),
+            SupervisorConfig {
+                stall_deadline: Some(overload.stall_deadline),
+                ..SupervisorConfig::default()
+            },
         )
     });
     let SoakArtifacts {
@@ -244,20 +280,6 @@ fn soak_once(
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     let g = |name: &str| snap.gauge(name).unwrap_or(0);
     let d = &report.merged.degradation;
-    if std::env::var_os("SOAK_DEBUG").is_some() {
-        for (object, r) in &report.per_object {
-            eprintln!(
-                "DEBUG obj{}: fanout={} stats.events={} violation={}",
-                object.0,
-                c(&format!("shard.fanout.obj{}", object.0)),
-                r.stats.events,
-                r.violation.is_some(),
-            );
-            if let Some(v) = &r.violation {
-                eprintln!("DEBUG obj{} violation @{}: {v}", object.0, v.log_position());
-            }
-        }
-    }
 
     let latencies = ["span.call_to_commit_ns", "span.call_to_return_ns"]
         .iter()
@@ -283,7 +305,7 @@ fn soak_once(
     // without bound.
     checks.push(holds(
         "occupancy peak within buffer space",
-        g("overload.occupancy_peak") <= adaptive.capacity as u64,
+        g("overload.occupancy_peak") <= capacity as u64,
     ));
 
     Some(Outcome {
@@ -312,12 +334,10 @@ fn soak_once(
             ("unreliable_violations", d.unreliable_violations),
             ("lag_peak", g("overload.lag_peak")),
             ("occupancy_peak", g("overload.occupancy_peak")),
-            ("decisions_decrease", c("overload.decisions_decrease")),
-            ("decisions_recover", c("overload.decisions_recover")),
             ("watchdog_rescues", c("overload.watchdog_rescues")),
             ("watchdog_quarantines", c("overload.watchdog_quarantines")),
         ],
-        shed_windows: d.shed_windows.iter().map(|w| w.to_string()).collect(),
+        shed_windows: d.shed_windows.clone(),
         verdict: report.merged.verdict(),
         checks,
     })
@@ -359,11 +379,9 @@ fn print_outcome(o: &Outcome) {
         );
     }
     println!(
-        "overload:  lag peak {} occupancy peak {} decisions -{}+{} watchdog rescues {} quarantines {}",
+        "overload:  lag peak {} occupancy peak {} watchdog rescues {} quarantines {}",
         n("lag_peak"),
         n("occupancy_peak"),
-        n("decisions_decrease"),
-        n("decisions_recover"),
         n("watchdog_rescues"),
         n("watchdog_quarantines")
     );
@@ -378,39 +396,14 @@ fn print_outcome(o: &Outcome) {
     }
 }
 
-/// The adaptive config the smoke pins: tiny channels, a fast tick, and a
-/// small initial budget, so a single stalled checker drives the
-/// controller through shed → abandon → decrease within a second.
-fn smoke_adaptive(objects: u32) -> AdaptiveConfig {
-    let space = 4 * objects as u64;
-    AdaptiveConfig {
-        capacity: 4,
-        // Long enough to cover the checkers' start-up, debug builds
-        // included: the buggy leg's violation sits in object 0's first
-        // few events, and a shed before its checker first runs leaves it
-        // past a coverage gap — DEGRADED PASS, not FAIL.
-        initial_timeout: Duration::from_millis(5),
-        initial_budget: 16,
-        tick: Duration::from_millis(2),
-        high_watermark: space * 3 / 4,
-        low_watermark: (space / 4).max(1),
-        min_timeout: Duration::from_micros(50),
-        max_timeout: Duration::from_millis(10),
-        // Low enough that a stalled shard exhausts its budget and is
-        // abandoned within the smoke's sub-second run, instead of paying
-        // the shed timeout per event for the whole duration.
-        max_budget: 64,
-        watchdog_deadline: Duration::from_millis(200),
-    }
-}
-
 /// The pinned-seed CI saturation check (`--smoke`): two legs, both
 /// offered ~4× what the stalled pipeline sustains.
 ///
 /// * Correct leg: Multiset-Vector under view refinement with shard 0's
 ///   checker stalled 150 ms. Must shed (we drove it past saturation),
-///   must reconcile exactly, and must end DEGRADED PASS — overload never
-///   turns a correct run into FAIL, and never forges a clean PASS.
+///   and shed on the stalled shard itself, must reconcile exactly, and
+///   must end DEGRADED PASS — overload never turns a correct run into
+///   FAIL, and never forges a clean PASS.
 /// * Buggy leg: Treiber-Stack (seeded ABA violation on object 0) under
 ///   I/O checking with shard *1* stalled instead, so the violation
 ///   carrier is checked while another shard degrades. Must reconcile and
@@ -425,31 +418,15 @@ fn smoke(seed: u64) -> ExitCode {
     );
     let load = cli::parse(pinned.split(' ').map(str::to_owned)).expect("the pinned command line");
     for (name, kind, variant, stalled) in [
-        (
-            "Multiset-Vector",
-            CheckKind::View,
-            Variant::Correct,
-            "pool.check.0",
-        ),
-        (
-            "Treiber-Stack",
-            CheckKind::Io,
-            Variant::Buggy,
-            "pool.check.1",
-        ),
+        ("Multiset-Vector", CheckKind::View, Variant::Correct, 0),
+        ("Treiber-Stack", CheckKind::Io, Variant::Buggy, 1),
     ] {
         let scenario = scenarios::by_name(name).expect("smoke scenarios are registered");
         let scope = fault::install(FaultPlan::seeded(seed).rule(
-            stalled,
+            &format!("pool.check.{stalled}"),
             FaultRule::once(FaultAction::Delay(Duration::from_millis(150))),
         ));
-        let outcome = soak_once(
-            scenario.as_ref(),
-            kind,
-            variant,
-            &load,
-            Some(smoke_adaptive(3)),
-        );
+        let outcome = soak_once(scenario.as_ref(), kind, variant, &load, SMOKE_OVERLOAD);
         drop(scope);
         let Some(mut o) = outcome else {
             eprintln!("soak --smoke: {variant:?} leg unsupported");
@@ -461,8 +438,8 @@ fn smoke(seed: u64) -> ExitCode {
             o.checks
                 .push(holds("sheds observed past saturation", o.n("shed") > 0));
             o.checks.push(holds(
-                "controller reacted (decrease decisions)",
-                o.n("decisions_decrease") > 0,
+                "the stalled shard shed",
+                o.shed_windows.iter().any(|w| w.object == ObjectId(stalled)),
             ));
             o.checks.push(holds(
                 "correct run is a degraded pass, not FAIL",
@@ -529,18 +506,11 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     (out, metrics::snapshot())
 }
 
-/// The identities every adaptive-pool run must satisfy, whatever the
-/// schedule: conservation at the router and at the shards, and every
-/// shed, controller decision and watchdog escalation in the ledger
-/// exactly as the registry counted it.
+/// The identities every soak run must satisfy, whatever the schedule:
+/// conservation at the router and at the shards, and every shed and
+/// watchdog escalation in the ledger exactly as the registry counted it.
 fn overload_checks(d: &Degradation, snap: &Snapshot, log_events: u64) -> Vec<Check> {
     let c = |name: &str| snap.counter(name).unwrap_or(0);
-    let decisions = |action| {
-        d.adaptive_decisions
-            .iter()
-            .filter(|x| x.action == action)
-            .count() as u64
-    };
     let watchdog = |action| {
         d.watchdog_events
             .iter()
@@ -576,18 +546,7 @@ fn overload_checks(d: &Degradation, snap: &Snapshot, log_events: u64) -> Vec<Che
             shed,
         ),
         ("shed window events vs ledger sheds", window_sum, d.sheds()),
-        // Every adaptive decision and watchdog escalation the controller
-        // took is in the ledger, and only those.
-        (
-            "decrease decisions ledger vs metric",
-            decisions(AdaptiveAction::Decrease),
-            c("overload.decisions_decrease"),
-        ),
-        (
-            "recover decisions ledger vs metric",
-            decisions(AdaptiveAction::Recover),
-            c("overload.decisions_recover"),
-        ),
+        // Every watchdog escalation is in the ledger, and only those.
         (
             "watchdog rescues ledger vs metric",
             watchdog(WatchdogAction::RescueWorker),

@@ -2,8 +2,8 @@
 //! binary and judged on the artifacts it writes.
 //!
 //! * `vyrd soak --smoke`: an arrival-rate workload well past the
-//!   verifier's saturation point with the adaptive overload controller on
-//!   and one shard's checker stalled. The correct leg must converge to a
+//!   verifier's saturation point with fixed `Shed` constants, the
+//!   watchdog on, and one shard's checker stalled. The correct leg must converge to a
 //!   DEGRADED PASS with exact shed/stranded accounting, and the buggy leg
 //!   must still FAIL — overload never forges a verdict either way.
 //! * `vyrd witness --max-events 50 --min-log 2000`: two seeded bugs

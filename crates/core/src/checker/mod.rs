@@ -214,15 +214,18 @@ pub const CONSUME_BATCH_MAX: usize = 1024;
 
 /// Per-drain cap for [`SteppingChecker::check`] on a *bounded*
 /// channel. Bounded-channel producers park on a full queue, and
-/// Shed-policy producers park **with a deadline** the adaptive overload
-/// controller can tighten to tens of microseconds. The consumer's
-/// processing stint is exactly how long a parked producer waits for a
-/// slot, so it must stay below the tightest shed timeout or an
-/// otherwise keeping-up run sheds spuriously — and one spurious shed
-/// punches a gap that costs the whole shard (the checker stops at the
-/// resulting unreliable violation). Eight events keeps the stint within
-/// ~the 50 µs minimum timeout at live per-event checking cost while
-/// still amortizing the lock and wakeup 8-fold.
+/// Shed-policy producers park **with a deadline**: the `Shed` timeout
+/// the shard was configured with
+/// ([`OverloadPolicy::Shed`](crate::shard::OverloadPolicy::Shed)). The
+/// consumer's processing stint is exactly how long a parked producer
+/// waits for a slot, so it must stay below the shortest configured shed
+/// timeout or an otherwise keeping-up run sheds spuriously — and one
+/// spurious shed punches a gap that costs the whole shard (the checker
+/// stops at the resulting unreliable violation). Eight events keep the
+/// stint in the tens of microseconds at live per-event checking cost,
+/// far below any millisecond-scale timeout, while still amortizing the
+/// lock and wakeup 8-fold; a cap of 64 measured no faster on a `Block`
+/// channel, so the smaller value stays.
 pub const BOUNDED_CONSUME_BATCH_MAX: usize = 8;
 
 /// A [`Checker`] with its specification and replayer types erased — the

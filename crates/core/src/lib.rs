@@ -111,7 +111,7 @@ pub mod witness;
 pub use codec::DecodeOutcome;
 pub use event::{Event, MethodId, ObjectId, ThreadId, VarId};
 pub use log::{EventLog, LogMode, ThreadLogger};
-pub use overload::{AdaptiveConfig, AdaptiveShed, ShedControl};
+pub use overload::{ShedControl, Watchdog};
 pub use checker::{SteppingChecker, SteppingFactory};
 pub use pool::{SupervisorConfig, VerifierPool};
 pub use segment::{ContinuousVerifier, SegmentConfig, SegmentLogHandle};
@@ -120,6 +120,6 @@ pub use spec::{MethodKind, Spec, SpecEffect, SpecError};
 pub use value::Value;
 pub use view::View;
 pub use violation::{
-    AdaptiveAction, AdaptiveDecision, CheckStats, Degradation, Report, ShardFailure, ShedWindow,
-    Verdict, Violation, WatchdogAction, WatchdogEvent,
+    CheckStats, Degradation, Report, ShardFailure, ShedWindow, Verdict, Violation, WatchdogAction,
+    WatchdogEvent,
 };

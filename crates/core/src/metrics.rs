@@ -96,8 +96,8 @@ pub struct PipelineMetrics {
     /// (sheds/drops/discards keep it positive — see the module docs).
     pub pool_lag_events: Arc<Gauge>,
 
-    // -- Adaptive overload controller (crate::overload) --
-    /// Controller ticks executed.
+    // -- Overload watchdog (crate::overload) --
+    /// Watchdog ticks executed.
     pub overload_ticks: Arc<Counter>,
     /// Live verification lag at the last tick: events appended minus
     /// events consumed by shard channels minus events already accounted
@@ -108,16 +108,6 @@ pub struct PipelineMetrics {
     pub overload_lag_peak: Arc<Gauge>,
     /// Highest single-shard channel occupancy any tick observed.
     pub overload_occupancy_peak: Arc<Gauge>,
-    /// Current shed timeout, ns (moves with the controller).
-    pub overload_timeout_ns: Arc<Gauge>,
-    /// Current shed budget (moves with the controller).
-    pub overload_budget: Arc<Gauge>,
-    /// Admission-tightening decisions (lag above the high watermark);
-    /// mirrors the `AdaptiveAction::Decrease` ledger entries exactly.
-    pub overload_decisions_decrease: Arc<Counter>,
-    /// Admission-relaxing decisions (lag below the low watermark);
-    /// mirrors the `AdaptiveAction::Recover` ledger entries exactly.
-    pub overload_decisions_recover: Arc<Counter>,
     /// Watchdog rescues: unclaimed stuck shards handed to a freshly
     /// spawned supervised worker.
     pub overload_watchdog_rescues: Arc<Counter>,
@@ -224,10 +214,6 @@ pub fn pipeline() -> &'static PipelineMetrics {
         overload_lag_events: metrics::gauge("overload.lag_events"),
         overload_lag_peak: metrics::gauge("overload.lag_peak"),
         overload_occupancy_peak: metrics::gauge("overload.occupancy_peak"),
-        overload_timeout_ns: metrics::gauge("overload.timeout_ns"),
-        overload_budget: metrics::gauge("overload.budget"),
-        overload_decisions_decrease: metrics::counter("overload.decisions_decrease"),
-        overload_decisions_recover: metrics::counter("overload.decisions_recover"),
         overload_watchdog_rescues: metrics::counter("overload.watchdog_rescues"),
         overload_watchdog_quarantines: metrics::counter("overload.watchdog_quarantines"),
         checker_events: metrics::counter("checker.events"),

@@ -80,11 +80,11 @@ use crate::checker::{SteppingChecker, SteppingFactory};
 use crate::event::{Event, ObjectId};
 use crate::log::{EventLog, LogMode};
 use crate::metrics::pipeline;
-use crate::overload::{AdaptiveConfig, AdaptiveShed, ShedControl};
+use crate::overload::{ShedControl, Watchdog};
 use crate::shard::{ShardConfig, ShardRouter};
 use crate::violation::{Degradation, Report, ShardFailure, Violation};
 
-/// How the pool supervises a checker that panics.
+/// How the pool supervises a checker that panics or stops consuming.
 ///
 /// A panicking checker never unwinds the pool: the worker catches it,
 /// rebuilds the checker from the factory, and retries — up to
@@ -98,6 +98,13 @@ pub struct SupervisorConfig {
     pub max_restarts: u32,
     /// Sleep before the first restart; doubles on each further restart.
     pub backoff: Duration,
+    /// With `Some(deadline)`, a [`Watchdog`] ticker escalates any shard
+    /// with queued events and no consumption for `deadline`: an
+    /// unclaimed one to a freshly spawned supervised rescue worker, a
+    /// claimed-but-stuck one to router-level quarantine. Every
+    /// escalation lands in the merged report's [`Degradation`] ledger.
+    /// `None` (default) runs no watchdog.
+    pub stall_deadline: Option<Duration>,
 }
 
 impl Default for SupervisorConfig {
@@ -105,6 +112,7 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             max_restarts: 2,
             backoff: Duration::from_millis(1),
+            stall_deadline: None,
         }
     }
 }
@@ -257,17 +265,64 @@ pub struct VerifierPool {
     supervisor: SupervisorConfig,
     workers: Vec<JoinHandle<()>>,
     results: Arc<Mutex<Vec<(ObjectId, Report)>>>,
-    adaptive: Option<AdaptiveRuntime>,
+    watchdog: Option<WatchdogRuntime>,
 }
 
-/// The moving parts an adaptive pool carries on top of a supervised one.
-struct AdaptiveRuntime {
+/// The moving parts a pool with a stall deadline carries.
+struct WatchdogRuntime {
     control: Arc<ShedControl>,
-    /// The controller's ticker thread; stopped before workers are
-    /// joined so no rescue can race the shutdown.
+    /// The watchdog's ticker thread; stopped before workers are joined
+    /// so no rescue can race the shutdown. `None` if it could not be
+    /// spawned: the pool then runs without stall escalation.
     ticker: Option<vyrd_rt::time::Ticker>,
     /// Rescue workers the watchdog spawned for unclaimed stuck shards.
     rescues: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+impl WatchdogRuntime {
+    /// Starts the watchdog ticker. Its rescue path spawns one more
+    /// supervised worker per unclaimed stuck shard.
+    fn start(
+        control: Arc<ShedControl>,
+        deadline: Duration,
+        router: &Arc<ShardRouter>,
+        factory: &SteppingFactory,
+        results: &Arc<Mutex<Vec<(ObjectId, Report)>>>,
+        supervisor: SupervisorConfig,
+    ) -> WatchdogRuntime {
+        let rescues: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let rescue = {
+            let router = Arc::clone(router);
+            let factory = Arc::clone(factory);
+            let results = Arc::clone(results);
+            let control = Arc::clone(&control);
+            let rescues = Arc::clone(&rescues);
+            let mut next_id = 0usize;
+            move || {
+                let handles = spawn_workers(
+                    &router,
+                    &factory,
+                    &results,
+                    supervisor,
+                    Some(&control),
+                    1,
+                    &format!("vyrd-rescue-{next_id}"),
+                );
+                next_id += 1;
+                let ok = !handles.is_empty();
+                rescues.lock().extend(handles);
+                ok
+            }
+        };
+        let ticker = Watchdog::new(Arc::clone(&control), deadline, rescue)
+            .into_ticker()
+            .ok();
+        WatchdogRuntime {
+            control,
+            ticker,
+            rescues,
+        }
+    }
 }
 
 /// Spawns `count` competing shard workers (subject to the `pool.spawn`
@@ -357,7 +412,9 @@ impl VerifierPool {
         VerifierPool::spawn_supervised(mode, workers, config, SupervisorConfig::default(), factory)
     }
 
-    /// Like [`VerifierPool::spawn_with`] with explicit panic supervision.
+    /// Like [`VerifierPool::spawn_with`] with explicit supervision: panic
+    /// restarts, and — with [`SupervisorConfig::stall_deadline`] set — a
+    /// watchdog ticker and its rescue workers.
     pub fn spawn_supervised<F>(
         mode: LogMode,
         workers: usize,
@@ -368,7 +425,10 @@ impl VerifierPool {
     where
         F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
     {
-        let (log, router) = ShardRouter::new(mode, config);
+        let control = supervisor
+            .stall_deadline
+            .map(|_| Arc::new(ShedControl::default()));
+        let (log, router) = ShardRouter::build(mode, config, control.clone());
         let router = Arc::new(router);
         let factory: SteppingFactory = Arc::new(factory);
         let results = Arc::new(Mutex::new(Vec::new()));
@@ -377,10 +437,15 @@ impl VerifierPool {
             &factory,
             &results,
             supervisor,
-            None,
+            control.as_ref(),
             workers.max(1),
             "vyrd-verifier",
         );
+        let watchdog = control
+            .zip(supervisor.stall_deadline)
+            .map(|(control, deadline)| {
+                WatchdogRuntime::start(control, deadline, &router, &factory, &results, supervisor)
+            });
         VerifierPool {
             log,
             router,
@@ -388,89 +453,7 @@ impl VerifierPool {
             supervisor,
             workers: handles,
             results,
-            adaptive: None,
-        }
-    }
-
-    /// Spawns a pool whose `Shed` overload parameters are driven by an
-    /// [`AdaptiveShed`] controller instead of static constants: shards
-    /// are bounded at `cfg.capacity`, a background ticker samples live
-    /// lag every `cfg.tick` and moves the shed timeout/budget
-    /// (AIMD-style), and a watchdog escalates stuck shards — an
-    /// unclaimed one to a freshly spawned supervised rescue worker, a
-    /// claimed-but-dead one to router-level quarantine. Every adaptive
-    /// decision and escalation lands in the merged report's
-    /// [`Degradation`] ledger with the dispatch-seq window it affected.
-    ///
-    /// If the controller's ticker thread cannot be spawned the pool
-    /// still runs, frozen at the initial parameters (the static
-    /// [`VerifierPool::spawn_supervised`] behavior).
-    pub fn spawn_adaptive<F>(
-        mode: LogMode,
-        workers: usize,
-        cfg: AdaptiveConfig,
-        supervisor: SupervisorConfig,
-        factory: F,
-    ) -> VerifierPool
-    where
-        F: Fn(ObjectId) -> Box<dyn SteppingChecker> + Send + Sync + 'static,
-    {
-        let control = Arc::new(ShedControl::new(cfg.initial_timeout, cfg.initial_budget));
-        let shard_config =
-            ShardConfig::bounded_shedding(cfg.capacity, cfg.initial_timeout, cfg.initial_budget);
-        let (log, router) = ShardRouter::new_adaptive(mode, shard_config, Arc::clone(&control));
-        let router = Arc::new(router);
-        let factory: SteppingFactory = Arc::new(factory);
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let handles = spawn_workers(
-            &router,
-            &factory,
-            &results,
-            supervisor,
-            Some(&control),
-            workers.max(1),
-            "vyrd-verifier",
-        );
-        let rescues: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let rescue = {
-            let router = Arc::clone(&router);
-            let factory = Arc::clone(&factory);
-            let results = Arc::clone(&results);
-            let control = Arc::clone(&control);
-            let rescues = Arc::clone(&rescues);
-            let mut next_id = 0usize;
-            move || {
-                let handles = spawn_workers(
-                    &router,
-                    &factory,
-                    &results,
-                    supervisor,
-                    Some(&control),
-                    1,
-                    &format!("vyrd-rescue-{next_id}"),
-                );
-                next_id += 1;
-                let ok = !handles.is_empty();
-                rescues.lock().extend(handles);
-                ok
-            }
-        };
-        let ticker = AdaptiveShed::new(Arc::clone(&control), cfg)
-            .with_rescue(rescue)
-            .into_ticker()
-            .ok();
-        VerifierPool {
-            log,
-            router,
-            factory,
-            supervisor,
-            workers: handles,
-            results,
-            adaptive: Some(AdaptiveRuntime {
-                control,
-                ticker,
-                rescues,
-            }),
+            watchdog,
         }
     }
 
@@ -512,11 +495,11 @@ impl VerifierPool {
     /// reports.
     pub fn finish_all(mut self) -> PoolReport {
         self.log.close();
-        // Stop the adaptive controller before joining anything: no new
-        // rescue workers may appear while the pool shuts down, and the
-        // final ledger must not gain entries after it is drained.
-        if let Some(adaptive) = &mut self.adaptive {
-            if let Some(ticker) = &mut adaptive.ticker {
+        // Stop the watchdog before joining anything: no new rescue
+        // workers may appear while the pool shuts down, and the final
+        // ledger must not gain entries after it is drained.
+        if let Some(watchdog) = &mut self.watchdog {
+            if let Some(ticker) = &mut watchdog.ticker {
                 ticker.stop();
             }
         }
@@ -529,8 +512,8 @@ impl VerifierPool {
                 lost_workers += 1;
             }
         }
-        if let Some(adaptive) = &self.adaptive {
-            let rescues = std::mem::take(&mut *adaptive.rescues.lock());
+        if let Some(watchdog) = &self.watchdog {
+            let rescues = std::mem::take(&mut *watchdog.rescues.lock());
             for handle in rescues {
                 if handle.join().is_err() {
                     lost_workers += 1;
@@ -592,19 +575,17 @@ impl VerifierPool {
             ..Degradation::default()
         };
         merged.degradation.absorb(&routing_losses);
-        if let Some(adaptive) = &self.adaptive {
-            let (decisions, watchdog) = adaptive.control.finalize();
+        if let Some(watchdog) = &self.watchdog {
             // Workers are joined and unclaimed shards drained inline, so
             // whatever the probes still see queued is permanently
             // stranded (abandoned/quarantined shards whose checker hung
             // up or stopped early).
-            let controller_ledger = Degradation {
-                adaptive_decisions: decisions,
-                watchdog_events: watchdog,
-                stranded_events: adaptive.control.stranded_events(),
+            let watchdog_ledger = Degradation {
+                watchdog_events: watchdog.control.finalize(),
+                stranded_events: watchdog.control.stranded_events(),
                 ..Degradation::default()
             };
-            merged.degradation.absorb(&controller_ledger);
+            merged.degradation.absorb(&watchdog_ledger);
         }
         let log_stats = self.log.stats();
         merged.degradation.events_lost += log_stats.events_dropped_injected;
@@ -875,6 +856,7 @@ mod tests {
         let supervisor = SupervisorConfig {
             max_restarts: 1,
             backoff: Duration::from_micros(100),
+            ..SupervisorConfig::default()
         };
         let pool = flaky_pool(u32::MAX, supervisor);
         log_some_events(&pool, 4);

@@ -354,10 +354,9 @@ fn value_degradation(value: &Value) -> io::Result<Degradation> {
         spawn_fallbacks: value_u64(spawn_fallbacks)?,
         lost_workers: value_u64(lost_workers)?,
         torn_bytes_discarded: value_u64(torn)?,
-        // The adaptive-overload ledger (shed windows, controller
-        // decisions, watchdog events) belongs to the in-process pool
-        // path; the continuous verifier never produces it, so the
-        // checkpoint format stays at seven fields.
+        // The overload ledger (shed windows, watchdog events) belongs
+        // to the in-process pool path; the continuous verifier never
+        // produces it, so the checkpoint format stays at seven fields.
         ..Degradation::default()
     })
 }

@@ -208,10 +208,9 @@ struct RouteState {
     last: Option<(u32, usize)>,
     /// Dispatch index: this event's position in the total order at the
     /// fan-out point. Stamped into shed windows and published to the
-    /// controller so adaptive decisions can name the seq range they
-    /// governed.
+    /// watchdog so its escalations can name where they fired.
     seq: u64,
-    /// The controller's quarantine epoch the `quarantined` flags were
+    /// The watchdog's quarantine epoch the `quarantined` flags were
     /// last synced at, so the per-event cost is one relaxed load until a
     /// watchdog actually quarantines something.
     quarantine_epoch: u64,
@@ -311,9 +310,9 @@ impl RouteState {
         self.send_shedding(at, my_seq, event);
     }
 
-    /// The Shed policy's per-event delivery: wait at most the (possibly
-    /// adaptive) timeout for a slot, shed on expiry, abandon the shard
-    /// once the budget is spent or the checker hangs up.
+    /// The Shed policy's per-event delivery: wait at most the timeout for
+    /// a slot, shed on expiry, abandon the shard once the budget is spent
+    /// or the checker hangs up.
     fn send_shedding(&mut self, at: usize, my_seq: u64, event: Event) {
         let (OverloadPolicy::Shed { timeout, budget }, Slot::Live(sender)) =
             (self.config.policy, &self.routes[at].slot)
@@ -321,12 +320,6 @@ impl RouteState {
             // Unbatched routing only happens under the Shed policy, and
             // the slot was just created or checked Live above.
             return;
-        };
-        // Under adaptive control the static parameters are only the
-        // starting point; read the live values.
-        let (timeout, budget) = match &self.control {
-            Some(control) => (control.timeout(), control.budget()),
-            None => (timeout, budget),
         };
         let wait_started = if vyrd_rt::metrics::enabled() {
             Some(Instant::now())
@@ -530,22 +523,10 @@ impl ShardRouter {
         ShardRouter::build(mode, config, None)
     }
 
-    /// Creates a router whose `Shed` timeout and budget are read live
-    /// from `control` on every overloaded dispatch, and whose shards are
-    /// registered with the controller (queue monitors for lag sampling
-    /// and watchdog stall detection, quarantine honored per event).
-    /// `config` supplies the channel capacity and the *initial* policy;
-    /// [`AdaptiveShed`](crate::overload::AdaptiveShed) then moves the
-    /// parameters while the run is in flight.
-    pub fn new_adaptive(
-        mode: LogMode,
-        config: ShardConfig,
-        control: Arc<ShedControl>,
-    ) -> (EventLog, ShardRouter) {
-        ShardRouter::build(mode, config, Some(control))
-    }
-
-    fn build(
+    /// Creates a router and its log; with a `control`, every announced
+    /// shard is registered with the watchdog (queue monitor for stall
+    /// detection) and the watchdog's quarantine set is honored per event.
+    pub(crate) fn build(
         mode: LogMode,
         config: ShardConfig,
         control: Option<Arc<ShedControl>>,

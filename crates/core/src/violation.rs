@@ -397,72 +397,6 @@ impl fmt::Display for ShedWindow {
     }
 }
 
-/// What the [`AdaptiveShed`](crate::overload::AdaptiveShed) controller
-/// did on one tick that changed admission parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdaptiveAction {
-    /// Lag crossed the high watermark: admission was tightened (shorter
-    /// shed timeout, larger budget so shards keep shedding per-event
-    /// instead of being abandoned mid-storm).
-    Decrease,
-    /// Lag drained below the low watermark: admission was relaxed back
-    /// toward the configured baseline.
-    Recover,
-}
-
-impl fmt::Display for AdaptiveAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AdaptiveAction::Decrease => "decrease",
-            AdaptiveAction::Recover => "recover",
-        })
-    }
-}
-
-/// One admission change recorded by the adaptive overload controller.
-///
-/// The seq window `[first_seq, last_seq)` is the slice of the dispatch
-/// order routed while these parameters were in force: `first_seq` is the
-/// dispatch seq when the decision was taken, `last_seq` the seq when the
-/// *next* decision superseded it (or the final dispatch count, for the
-/// last decision). Together the decisions partition the overloaded
-/// portion of the run, so a DEGRADED PASS can say exactly which events
-/// were admitted under which policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveDecision {
-    /// Controller tick (1-based) on which the decision was taken.
-    pub tick: u64,
-    /// What changed.
-    pub action: AdaptiveAction,
-    /// Live verification lag (appended − consumed − shed − dropped) that
-    /// triggered the decision.
-    pub lag_events: u64,
-    /// Shed timeout after the decision, in nanoseconds.
-    pub timeout_ns: u64,
-    /// Shed budget after the decision.
-    pub budget: u64,
-    /// First dispatch seq routed under the new parameters.
-    pub first_seq: u64,
-    /// Dispatch seq at which the next decision took over (exclusive).
-    pub last_seq: u64,
-}
-
-impl fmt::Display for AdaptiveDecision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tick {}: {} at lag {} -> timeout {}ns budget {} (seq {}..{})",
-            self.tick,
-            self.action,
-            self.lag_events,
-            self.timeout_ns,
-            self.budget,
-            self.first_seq,
-            self.last_seq
-        )
-    }
-}
-
 /// How the watchdog escalated a shard with no checker progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WatchdogAction {
@@ -485,12 +419,12 @@ impl fmt::Display for WatchdogAction {
     }
 }
 
-/// One watchdog escalation recorded by the adaptive overload controller.
+/// One watchdog escalation of a stuck shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WatchdogEvent {
     /// The stuck shard's object.
     pub object: ObjectId,
-    /// Controller tick (1-based) on which the escalation fired.
+    /// Watchdog tick (1-based) on which the escalation fired.
     pub tick: u64,
     /// Queue occupancy observed when the deadline expired.
     pub queued: u64,
@@ -552,9 +486,6 @@ pub struct Degradation {
     /// *where* in the total order the coverage gap sits, complementing
     /// the per-object counts in `sheds_by_object`.
     pub shed_windows: Vec<ShedWindow>,
-    /// Admission changes taken by the adaptive overload controller, in
-    /// tick order, each stamped with the dispatch-seq window it governed.
-    pub adaptive_decisions: Vec<AdaptiveDecision>,
     /// Watchdog escalations of stuck shards (rescue worker spawned, or
     /// object quarantined at the router).
     pub watchdog_events: Vec<WatchdogEvent>,
@@ -639,8 +570,6 @@ impl Degradation {
             }
         }
         self.shed_windows.sort_by_key(|w| w.object);
-        self.adaptive_decisions.extend(other.adaptive_decisions.iter().copied());
-        self.adaptive_decisions.sort_by_key(|d| d.tick);
         self.watchdog_events.extend(other.watchdog_events.iter().copied());
         self.watchdog_events.sort_by_key(|e| (e.tick, e.object));
         self.unreliable_violations += other.unreliable_violations;
@@ -672,9 +601,6 @@ impl fmt::Display for Degradation {
                 }
                 write!(f, "{w}")?;
             }
-        }
-        if !self.adaptive_decisions.is_empty() {
-            write!(f, "; {} adaptive decisions", self.adaptive_decisions.len())?;
         }
         for e in &self.watchdog_events {
             write!(f, "; {e}")?;

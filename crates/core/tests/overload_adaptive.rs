@@ -1,9 +1,9 @@
-//! Shed-budget exhaustion, abandonment, and adaptive-controller ledger
-//! coverage (ISSUE 8): a shard driven past its `Shed` budget flips to
-//! `Slot::Shedding` and never re-admits; verdicts under injected drops
-//! and checker hang-ups stay degrade-never-forge in both directions
-//! (correct traces never FAIL, real prefix violations still FAIL); and
-//! the adaptive controller's ledger reconciles exactly with the metrics
+//! Shed-budget exhaustion, abandonment, and watchdog ledger coverage: a
+//! shard driven past its `Shed` budget flips to `Slot::Shedding` and
+//! never re-admits; verdicts under injected drops and checker hang-ups
+//! stay degrade-never-forge in both directions (correct traces never
+//! FAIL, real prefix violations still FAIL); and a pool with a stall
+//! deadline keeps its ledger exactly reconciled with the metrics
 //! registry.
 //!
 //! The fault and metrics registries are process-global, so this binary
@@ -16,11 +16,11 @@ use std::time::Duration;
 use vyrd_core::checker::Checker;
 use vyrd_core::log::LogMode;
 use vyrd_core::pool::{SupervisorConfig, VerifierPool};
-use vyrd_core::shard::ShardConfig;
+use vyrd_core::shard::{ShardConfig, ShardRouter};
 use vyrd_core::spec::{MethodKind, Spec, SpecEffect, SpecError};
 use vyrd_core::view::View;
-use vyrd_core::violation::{AdaptiveAction, WatchdogAction};
-use vyrd_core::{AdaptiveConfig, MethodId, ObjectId, Value, Verdict};
+use vyrd_core::violation::WatchdogAction;
+use vyrd_core::{MethodId, ObjectId, Value, Verdict};
 use vyrd_rt::fault::{self, FaultAction, FaultPlan, FaultRule};
 use vyrd_rt::metrics;
 
@@ -177,6 +177,34 @@ fn checker_hangup_closes_the_shard_and_keeps_the_prefix_violation() {
     assert_eq!(d.unreliable_violations, 0);
 }
 
+/// A batched router drops an event while two of the same merged run are
+/// still pending: the shed must flush them first, so the gap-free prefix
+/// it freezes counts both, not the zero delivered before the run began.
+#[test]
+fn route_drop_freezes_the_flushed_prefix() {
+    let _serial = serial();
+    let _scope = fault::install(
+        FaultPlan::seeded(SEED).rule("shard.route", FaultRule::once(FaultAction::Drop).after(2)),
+    );
+    let (log, router) = ShardRouter::new(LogMode::Io, ShardConfig::default());
+    let logger = log.with_object(ObjectId(0)).logger();
+    logger.call("Add", &[Value::from(1i64)]);
+    logger.commit();
+    logger.ret("Add", Value::Unit);
+    log.flush(); // one merged run: Call, Commit pending when Return drops
+    log.close();
+
+    let w = router.shed_windows();
+    assert_eq!(w.len(), 1, "{w:?}");
+    assert_eq!((w[0].first_seq, w[0].events, w[0].injected), (2, 1, 1));
+    assert_eq!(
+        w[0].prefix_events, 2,
+        "both pending events were delivered first"
+    );
+    let (_, rx) = router.recv_shard().unwrap();
+    assert_eq!(rx.iter().count(), 2);
+}
+
 /// Pinned-seed injected routing drops on a correct trace: the coverage
 /// loss is counted and windowed, spurious violations born of the holes
 /// are suppressed, and the verdict degrades — it never turns into FAIL.
@@ -203,7 +231,7 @@ fn injected_route_drops_stay_degrade_never_forge() {
     );
 }
 
-/// The adaptive controller under a stalled checker: every decision,
+/// A shedding pool with a stall deadline under a stalled checker: every
 /// watchdog escalation, shed, and stranded event in the merged ledger
 /// must agree exactly with the `overload.*`/`shard.*` registry counters,
 /// and conservation must hold end to end.
@@ -216,23 +244,14 @@ fn adaptive_ledger_reconciles_with_metrics() {
         "pool.check.0",
         FaultRule::once(FaultAction::Delay(Duration::from_millis(100))),
     ));
-    let adaptive = AdaptiveConfig {
-        capacity: 4,
-        initial_timeout: Duration::from_micros(200),
-        initial_budget: 8,
-        tick: Duration::from_millis(2),
-        high_watermark: 9,
-        low_watermark: 3,
-        min_timeout: Duration::from_micros(50),
-        max_timeout: Duration::from_millis(5),
-        max_budget: 32,
-        watchdog_deadline: Duration::from_millis(50),
-    };
-    let pool = VerifierPool::spawn_adaptive(
+    let pool = VerifierPool::spawn_supervised(
         LogMode::Io,
         3,
-        adaptive,
-        SupervisorConfig::default(),
+        ShardConfig::bounded_shedding(4, Duration::from_millis(5), 8),
+        SupervisorConfig {
+            stall_deadline: Some(Duration::from_millis(50)),
+            ..SupervisorConfig::default()
+        },
         |_object| Box::new(Checker::io(SetSpec::default())) as _,
     );
     for object in 0..3 {
@@ -267,11 +286,6 @@ fn adaptive_ledger_reconciles_with_metrics() {
     );
     let window_sum: u64 = d.shed_windows.iter().map(|w| w.events).sum();
     assert_eq!(window_sum, d.sheds());
-    let count = |a: AdaptiveAction| {
-        d.adaptive_decisions.iter().filter(|x| x.action == a).count() as u64
-    };
-    assert_eq!(count(AdaptiveAction::Decrease), c("overload.decisions_decrease"));
-    assert_eq!(count(AdaptiveAction::Recover), c("overload.decisions_recover"));
     let wcount = |a: WatchdogAction| {
         d.watchdog_events.iter().filter(|x| x.action == a).count() as u64
     };

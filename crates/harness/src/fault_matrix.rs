@@ -249,6 +249,7 @@ fn case_panic_exhausted(scenario: &dyn Scenario, seed: u64) -> Result<String, St
     let supervisor = SupervisorConfig {
         max_restarts: 1,
         backoff: Duration::from_micros(200),
+        ..SupervisorConfig::default()
     };
     let all = pool_report(scenario, &events, Some(faults), None, Some(supervisor));
     let d = &all.merged.degradation;

@@ -24,7 +24,7 @@ use vyrd_core::witness::{
     BasicExplainer, Counterexample, DdminMinimizer, Explainer, Minimizer, WitnessError,
     WitnessPipeline,
 };
-use vyrd_core::{AdaptiveConfig, Event, ObjectId};
+use vyrd_core::{Event, ObjectId};
 
 use crate::measure::timed;
 use crate::workload::WorkloadConfig;
@@ -426,9 +426,8 @@ fn run_on_pool(
 pub struct SoakArtifacts {
     /// Wall-clock duration of the run (workload threads only).
     pub wall: Duration,
-    /// The adaptive pool's full report — merged verdict, per-object
-    /// verdicts, and the degradation ledger with shed windows, adaptive
-    /// decisions, and watchdog events.
+    /// The pool's full report — merged verdict, per-object verdicts, and
+    /// the degradation ledger with shed windows and watchdog events.
     pub report: PoolReport,
     /// The program-side log counters (appended / dropped / bytes), read
     /// after the workload finished and before the pool folded its
@@ -436,14 +435,16 @@ pub struct SoakArtifacts {
     pub log_stats: LogStats,
 }
 
-/// Runs a scenario's multi-object workload against an *adaptive*
+/// Runs a scenario's multi-object workload against a supervised
 /// [`VerifierPool`] — the open-loop soak path. The workload offers load
 /// on the fixed arrival schedule in `cfg.pace` (or closed-loop when
-/// unset); the pool's [`AdaptiveShed`](vyrd_core::AdaptiveShed) ticker
-/// adjusts shed budgets/timeouts AIMD-style and escalates stuck shards,
-/// so past saturation the run converges to a bounded-lag DEGRADED PASS
-/// instead of an unbounded queue. Returns `None` when the scenario has
-/// no multi-object mode or no shard factory for `kind`.
+/// unset); `shard_config`'s `Shed` policy bounds each overflow's stall
+/// and `supervisor`'s stall deadline runs the
+/// [`Watchdog`](vyrd_core::Watchdog) over stuck shards, so past
+/// saturation the run ends in a bounded-lag DEGRADED PASS instead of an
+/// unbounded queue. Unlike [`run_online_sharded_with`] it also returns
+/// the log's counters. Returns `None` when the scenario has no
+/// multi-object mode or no shard factory for `kind`.
 #[allow(clippy::too_many_arguments)] // one call site (soak), every knob load-bearing
 pub fn run_soak(
     scenario: &dyn Scenario,
@@ -452,14 +453,14 @@ pub fn run_soak(
     variant: Variant,
     objects: u32,
     workers: usize,
-    adaptive: AdaptiveConfig,
+    shard_config: ShardConfig,
     supervisor: SupervisorConfig,
 ) -> Option<SoakArtifacts> {
     let factory = scenario.shard_factory(kind)?;
-    let pool = VerifierPool::spawn_adaptive(
+    let pool = VerifierPool::spawn_supervised(
         kind.log_mode(),
         workers,
-        adaptive,
+        shard_config,
         supervisor,
         move |object| factory(object),
     );

@@ -83,16 +83,20 @@ cargo test --workspace -q --offline
 # its own. The log's tests ride along: a dropped logger's batch waits on
 # the idle list for another thread's logger or flush point, and no flush
 # point may wait on a batch no live thread owns — which matters most
-# where program and verifier cannot run at once.
-echo "==> channel wait protocol and log hand-off, release, one CPU"
+# where program and verifier cannot run at once. The overload tests
+# ride along too: the watchdog judges a shard stuck by wall-clock ticks,
+# and one CPU is where a live checker looks most stuck.
+echo "==> channel wait protocol, log hand-off and overload, release, one CPU"
 if command -v taskset >/dev/null 2>&1; then
-    taskset -c 0 cargo test --release --offline -q -p vyrd-rt channel >/dev/null
-    taskset -c 0 cargo test --release --offline -q -p vyrd-core --lib log:: >/dev/null
+    pin="taskset -c 0"
 else
     echo "    -> taskset not available; ran unpinned only"
-    cargo test --release --offline -q -p vyrd-rt channel >/dev/null
-    cargo test --release --offline -q -p vyrd-core --lib log:: >/dev/null
+    pin=""
 fi
+$pin cargo test --release --offline -q -p vyrd-rt channel >/dev/null
+$pin cargo test --release --offline -q -p vyrd-core --lib log:: >/dev/null
+$pin cargo test --release --offline -q -p vyrd-core --lib overload:: >/dev/null
+$pin cargo test --release --offline -q -p vyrd-core --test overload_adaptive >/dev/null
 
 # Smoke-run every example: each is a runnable walkthrough that must
 # exit 0 (the violation demos report their detection and succeed).

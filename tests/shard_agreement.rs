@@ -265,6 +265,7 @@ fn exhausted_shard_leaves_the_other_verdicts_matching_offline() {
         let supervisor = SupervisorConfig {
             max_restarts: 1,
             backoff: Duration::from_micros(200),
+            ..SupervisorConfig::default()
         };
         let all = pool_report_supervised(scenario.as_ref(), &events, supervisor);
         drop(_scope);
